@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/cooptimizer.h"
+#include "core/explorer.h"
 #include "core/hardware_eval.h"
 #include "core/trainer.h"
 #include "data/synthetic_mnist.h"
@@ -21,7 +21,7 @@ int
 main()
 {
     const aqfp::AttenuationModel atten;
-    const CoOptimizer opt(atten);
+    const DesignSpaceExplorer explorer(atten);
 
     CoOptSpace space;
     space.crossbarSizes = {8, 16, 36};
@@ -30,15 +30,15 @@ main()
     space.minTopsPerWatt = 5e4; // the efficiency demand
 
     const auto workload = aqfp::workloads::mnistMlp();
-    auto candidates = opt.enumerate(workload, space);
+    auto candidates = explorer.explore(workload, space);
     std::printf("feasible configurations: %zu\n", candidates.size());
 
     // Rank by AME, then short-list the best candidate of *each*
     // crossbar size: AME alone under-weights the training dynamics, so
     // the measured pass must compare across sizes (this mirrors the
     // paper's Fig. 11 grid search).
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto &a, const auto &b) { return a.ame < b.ame; });
+    candidates = DesignSpaceExplorer::ranked(std::move(candidates),
+                                             costs::ame());
     std::vector<CoOptCandidate> pruned;
     for (const auto &c : candidates) {
         const bool seen = std::any_of(

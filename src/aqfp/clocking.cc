@@ -8,7 +8,7 @@ std::size_t
 LogicNetlist::addGate(CellType type, std::size_t level,
                       std::vector<std::size_t> fanin)
 {
-    for (std::size_t src : fanin) {
+    for ([[maybe_unused]] const std::size_t src : fanin) {
         assert(src < gates_.size());
         assert(gates_[src].level < level);
     }

@@ -1,6 +1,5 @@
 #include "core/hardware_eval.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -68,8 +67,7 @@ HardwareEvaluator::HardwareEvaluator(aqfp::AttenuationModel attenuation,
 
 HardwareEvaluator::HardwareEvaluator(aqfp::AttenuationModel attenuation,
                                      HardwarePlan plan)
-    : atten(std::move(attenuation)), plan_(std::move(plan)),
-      cfg(plan_.representative())
+    : atten(std::move(attenuation)), plan_(std::move(plan))
 {
 }
 
@@ -321,18 +319,13 @@ HardwareEvaluator::energyReports(double frequency_ghz) const
 }
 
 /**
- * Root-draw provider for one batched evaluation. Exactly one of the
- * two fields is set. With `shared`, draws come from the one engine in
- * executor-sample order per pass — layer-major across the batch, the
- * historical contract of classScores(samples, rng). With `perRequest`,
- * request b's draws come from its own engine in the same order a
- * singleton run would consume them — so coalescing never reassigns
- * noise between requests.
+ * Root-draw provider for one batched evaluation: request b's draws come
+ * from its own engine in the same order a singleton run would consume
+ * them — so coalescing never reassigns noise between requests.
  */
 struct HardwareEvaluator::RootSource
 {
-    Rng *shared = nullptr;
-    std::vector<Rng> *perRequest = nullptr;
+    std::vector<Rng> engines; ///< one per request, in batch order
 
     /**
      * Roots for one executor pass covering @p group consecutive
@@ -341,17 +334,12 @@ struct HardwareEvaluator::RootSource
      * order.
      */
     std::vector<std::uint64_t>
-    draw(std::size_t requests, std::size_t group)
+    draw(std::size_t group)
     {
-        std::vector<std::uint64_t> roots(requests * group);
-        if (shared) {
-            for (auto &r : roots)
-                r = shared->raw()();
-            return roots;
-        }
-        for (std::size_t b = 0; b < requests; ++b)
+        std::vector<std::uint64_t> roots(engines.size() * group);
+        for (std::size_t b = 0; b < engines.size(); ++b)
             for (std::size_t p = 0; p < group; ++p)
-                roots[b * group + p] = (*perRequest)[b].raw()();
+                roots[b * group + p] = engines[b].raw()();
         return roots;
     }
 };
@@ -369,14 +357,11 @@ std::vector<std::vector<double>>
 HardwareEvaluator::runMlpBatch(
     const std::vector<std::vector<int>> &inputs, RootSource &roots) const
 {
-    const std::size_t samples = inputs.size();
     std::vector<std::vector<int>> acts = inputs;
     for (std::size_t i = 0; i < mapped.size(); ++i) {
         const MappedCell &mc = mapped[i];
-        std::vector<std::vector<int>> next =
-            executorFor(i).forwardSeeded(mc.layer, acts,
-                                         roots.draw(samples, 1),
-                                         &ledgers[i]);
+        std::vector<std::vector<int>> next = executorFor(i).forwardSeeded(
+            mc.layer, acts, roots.draw(1), &ledgers[i]);
         for (auto &sample : next)
             for (std::size_t j = 0; j < sample.size(); ++j)
                 if (mc.flip[j])
@@ -385,8 +370,7 @@ HardwareEvaluator::runMlpBatch(
     }
     std::vector<std::vector<double>> scores =
         executorFor(mapped.size())
-            .forwardDecodedSeeded(headMapped, acts,
-                                  roots.draw(samples, 1),
+            .forwardDecodedSeeded(headMapped, acts, roots.draw(1),
                                   &ledgers.back());
     for (auto &sample : scores)
         for (std::size_t j = 0; j < sample.size(); ++j)
@@ -441,13 +425,12 @@ HardwareEvaluator::runCnnBatch(
                 }
             }
         }
-        // One root per (request, patch), request-major — with a
-        // per-request source this is exactly the draw order a
-        // singleton run consumes, which is what keeps seeded batches
-        // bit-identical to singles.
+        // One root per (request, patch), request-major — exactly the
+        // draw order a singleton run consumes, which is what keeps
+        // batches bit-identical to singles.
         const std::vector<std::vector<int>> outs =
             executorFor(li).forwardSeeded(mc.layer, patches,
-                                          roots.draw(samples, positions),
+                                          roots.draw(positions),
                                           &ledgers[li]);
         std::vector<std::vector<int>> conv_out(
             samples, std::vector<int>(out_ch * side * side));
@@ -493,8 +476,7 @@ HardwareEvaluator::runCnnBatch(
     }
     std::vector<std::vector<double>> scores =
         executorFor(mapped.size())
-            .forwardDecodedSeeded(headMapped, acts,
-                                  roots.draw(samples, 1),
+            .forwardDecodedSeeded(headMapped, acts, roots.draw(1),
                                   &ledgers.back());
     for (auto &sample : scores)
         for (std::size_t j = 0; j < sample.size(); ++j)
@@ -503,27 +485,13 @@ HardwareEvaluator::runCnnBatch(
 }
 
 std::vector<std::vector<double>>
-HardwareEvaluator::classScores(const std::vector<Tensor> &samples,
-                               Rng &rng) const
-{
-    assert(kind != Kind::None && "map a model first");
-    std::vector<std::vector<int>> inputs;
-    inputs.reserve(samples.size());
-    for (const Tensor &s : samples)
-        inputs.push_back(binarizeInput(s));
-    images_.fetch_add(samples.size(), std::memory_order_relaxed);
-    RootSource roots;
-    roots.shared = &rng;
-    return kind == Kind::Mlp ? runMlpBatch(inputs, roots)
-                             : runCnnBatch(inputs, roots);
-}
-
-std::vector<std::vector<double>>
 HardwareEvaluator::classScoresSeeded(
     const std::vector<Tensor> &samples,
     const std::vector<std::uint64_t> &seeds) const
 {
-    assert(kind != Kind::None && "map a model first");
+    if (kind == Kind::None)
+        throw std::logic_error(
+            "HardwareEvaluator::classScoresSeeded: map a model first");
     if (samples.size() != seeds.size())
         throw std::invalid_argument(
             "HardwareEvaluator::classScoresSeeded: "
@@ -534,14 +502,10 @@ HardwareEvaluator::classScoresSeeded(
     for (const Tensor &s : samples)
         inputs.push_back(binarizeInput(s));
     images_.fetch_add(samples.size(), std::memory_order_relaxed);
-    // One private engine per request: sample i consumes the exact draw
-    // sequence classScores(samples[i], Rng(seeds[i])) would.
-    std::vector<Rng> engines;
-    engines.reserve(seeds.size());
-    for (const std::uint64_t seed : seeds)
-        engines.emplace_back(seed);
     RootSource roots;
-    roots.perRequest = &engines;
+    roots.engines.reserve(seeds.size());
+    for (const std::uint64_t seed : seeds)
+        roots.engines.emplace_back(seed);
     return kind == Kind::Mlp ? runMlpBatch(inputs, roots)
                              : runCnnBatch(inputs, roots);
 }
@@ -560,32 +524,6 @@ HardwareEvaluator::predictSeeded(
     return best;
 }
 
-std::vector<double>
-HardwareEvaluator::classScores(const Tensor &sample, Rng &rng) const
-{
-    auto batched = classScores(std::vector<Tensor>{sample}, rng);
-    return std::move(batched[0]);
-}
-
-std::vector<std::size_t>
-HardwareEvaluator::predict(const std::vector<Tensor> &samples,
-                           Rng &rng) const
-{
-    const auto scores = classScores(samples, rng);
-    std::vector<std::size_t> best(scores.size(), 0);
-    for (std::size_t b = 0; b < scores.size(); ++b)
-        for (std::size_t j = 1; j < scores[b].size(); ++j)
-            if (scores[b][j] > scores[b][best[b]])
-                best[b] = j;
-    return best;
-}
-
-std::size_t
-HardwareEvaluator::predict(const Tensor &sample, Rng &rng) const
-{
-    return predict(std::vector<Tensor>{sample}, rng)[0];
-}
-
 double
 HardwareEvaluator::evaluate(const data::Dataset &dataset,
                             std::size_t max_samples, Rng &rng) const
@@ -593,15 +531,19 @@ HardwareEvaluator::evaluate(const data::Dataset &dataset,
     const std::size_t count = max_samples == 0
         ? dataset.size()
         : std::min(max_samples, dataset.size());
-    const std::size_t chunk = cfg.evalBatch == 0 ? 1 : cfg.evalBatch;
+    const std::size_t chunk = plan_.evalBatch == 0 ? 1 : plan_.evalBatch;
     std::size_t correct = 0;
     for (std::size_t i = 0; i < count; i += chunk) {
         const std::size_t n = std::min(chunk, count - i);
         std::vector<Tensor> samples;
+        std::vector<std::uint64_t> seeds;
         samples.reserve(n);
-        for (std::size_t b = 0; b < n; ++b)
+        seeds.reserve(n);
+        for (std::size_t b = 0; b < n; ++b) {
             samples.push_back(dataset.sample(i + b));
-        const std::vector<std::size_t> preds = predict(samples, rng);
+            seeds.push_back(rng.raw()());
+        }
+        const std::vector<std::size_t> preds = predictSeeded(samples, seeds);
         for (std::size_t b = 0; b < n; ++b)
             if (preds[b] == dataset.labels[i + b])
                 ++correct;
@@ -609,25 +551,6 @@ HardwareEvaluator::evaluate(const data::Dataset &dataset,
     return count == 0 ? 0.0
                       : static_cast<double>(correct)
             / static_cast<double>(count);
-}
-
-std::size_t
-HardwareEvaluator::injectVariation(double gray_zone_sigma,
-                                   double stuck_cell_fraction, Rng &rng)
-{
-    std::size_t stuck = 0;
-    auto hit = [&](crossbar::MappedLayer &layer) {
-        for (auto &tile : layer.tiles) {
-            if (gray_zone_sigma > 0.0)
-                tile.applyGrayZoneVariation(gray_zone_sigma, rng);
-            if (stuck_cell_fraction > 0.0)
-                stuck += tile.injectStuckCells(stuck_cell_fraction, rng);
-        }
-    };
-    for (auto &mc : mapped)
-        hit(mc.layer);
-    hit(headMapped);
-    return stuck;
 }
 
 std::size_t

@@ -76,6 +76,11 @@ struct LayerEnergyReport
  * activity, so accuracy evaluation doubles as energy measurement — see
  * energyReports().
  *
+ * Noise: every sample is scored with its own seed, and the sampled
+ * stochastic-computing noise depends only on (sample, seed) — never on
+ * batch makeup, thread count, shard or SIMD arm. evaluate() draws those
+ * seeds from its Rng in sample order.
+ *
  * Concurrency: the per-layer ledgers are safe to record into from
  * concurrent forwards (relaxed-atomic slots — see aqfp::HardwareLedger),
  * so concurrent classScoresSeeded calls on the SAME evaluator are
@@ -86,7 +91,7 @@ struct LayerEnergyReport
  * energyReports' per-image normalization) is only meaningful when no
  * OTHER evaluation stream records into these ledgers between the two
  * snapshots — the service guarantees that by being its evaluator's
- * sole user. Mutating calls (mapMlp/mapCnn, injectVariation*,
+ * sole user. Mutating calls (mapMlp/mapCnn, injectVariationSeeded,
  * resetLedgers) are never safe to race with evaluation.
  */
 class HardwareEvaluator
@@ -134,77 +139,52 @@ class HardwareEvaluator
     void mapCnn(const RandomizedCnn &model);
 
     /**
-     * Class scores of one sample: the head crossbar's decoded APC counts
-     * scaled by the head's alpha (a small digital post-multiply).
+     * Class scores: the head crossbar's decoded APC counts scaled by
+     * the head's alpha (a small digital post-multiply). Sample i draws
+     * all of its stochastic-computing noise from its own Rng stream
+     * seeded with @p seeds[i]; the mapped tiles are walked once per
+     * layer for the whole batch, and tile observations of all samples
+     * run as one parallel phase on the executor's thread pool.
      *
-     * @param sample  (1, D) or (1, C, H, W) float input
-     */
-    std::vector<double> classScores(const Tensor &sample, Rng &rng) const;
-
-    /**
-     * Batched class scores: the mapped tiles are walked once per layer
-     * for the whole batch, and tile observations of all samples run as
-     * one parallel phase on the executor's thread pool.
-     *
-     * Each underlying executor call is bit-exact w.r.t. its own
-     * single-sample path, but a multi-layer batched evaluation
-     * consumes the Rng's root draws layer-major (layer 1 for all
-     * samples, then layer 2, ...) while per-sample classScores calls
-     * consume them sample-major — so for networks with more than one
-     * layer the sampled noise is differently (though identically
-     * distributed) assigned and scores are not bitwise equal to N
-     * single calls. Results ARE bit-identical across thread counts for
-     * a fixed batching; only the batch split reassigns noise.
-     */
-    std::vector<std::vector<double>>
-    classScores(const std::vector<Tensor> &samples, Rng &rng) const;
-
-    /**
-     * Request-pinned batched class scores: sample i draws all of its
-     * noise from its own Rng stream seeded with @p seeds[i], one
-     * stream per request, instead of sharing one Rng across the batch.
-     *
-     * Contract (the serving layer's determinism guarantee, see
-     * docs/SERVING.md): entry i is bit-identical to
-     * `classScores(samples[i], Rng(seeds[i]))` — for ANY batch
-     * composition, batch size, thread count, and SIMD arm. This is
-     * what the shared-Rng batched overload cannot give (it assigns
-     * root draws layer-major across the batch); here each request's
-     * draw sequence is pinned to its seed, so coalescing requests into
-     * executor megabatches never changes any response.
+     * Contract (the one noise rule of this evaluator, and the serving
+     * layer's determinism guarantee, see docs/SERVING.md): a sample's
+     * scores depend only on (sample, seed) — entry i is bit-identical
+     * to `classScoresSeeded({samples[i]}, {seeds[i]})[0]` for ANY
+     * batch composition, batch size, thread count, shard and SIMD arm,
+     * so coalescing requests into executor megabatches never changes
+     * any response.
      *
      * Mixed model kinds are supported (MLP and CNN evaluators both
-     * route through it). Records into the same per-layer ledgers as
-     * every other evaluation entry point.
+     * route through it). Records into the per-layer ledgers.
      *
+     * @param samples (1, D) or (1, C, H, W) float inputs
      * @throws std::invalid_argument when seeds.size() != samples.size()
+     * @throws std::logic_error when no model is mapped
      */
     std::vector<std::vector<double>>
     classScoresSeeded(const std::vector<Tensor> &samples,
                       const std::vector<std::uint64_t> &seeds) const;
 
-    /** Argmax of classScores. */
-    std::size_t predict(const Tensor &sample, Rng &rng) const;
-
-    /** Batched argmax of classScores. */
-    std::vector<std::size_t>
-    predict(const std::vector<Tensor> &samples, Rng &rng) const;
-
     /**
-     * Argmax of classScoresSeeded (same per-request determinism
-     * contract): entry i equals `predict(samples[i], Rng(seeds[i]))`
-     * bit-exactly regardless of batch composition or thread count.
+     * Argmax of classScoresSeeded (same contract: entry i depends only
+     * on (samples[i], seeds[i])).
      * @throws std::invalid_argument when seeds.size() != samples.size()
+     * @throws std::logic_error when no model is mapped
      */
     std::vector<std::size_t>
     predictSeeded(const std::vector<Tensor> &samples,
                   const std::vector<std::uint64_t> &seeds) const;
 
     /**
-     * Accuracy over (a subset of) a dataset, evaluated in batches of
-     * HardwareConfig::evalBatch samples so programmed tiles are reused
-     * across the batch.
+     * Accuracy over (a subset of) a dataset. One seed per sample is
+     * drawn from @p rng in sample order (`rng.raw()()`), and the
+     * samples are scored through classScoresSeeded in chunks of the
+     * plan's evalBatch so programmed tiles are reused across a chunk.
+     * Because each sample's noise depends only on (sample, seed), the
+     * result is the same for every evalBatch.
      * @param max_samples cap (0 = all)
+     * @throws std::logic_error when no model is mapped (and there is at
+     *         least one sample to score)
      */
     double evaluate(const data::Dataset &dataset, std::size_t max_samples,
                     Rng &rng) const;
@@ -243,16 +223,10 @@ class HardwareEvaluator
     void resetLedgers();
 
     /**
-     * Robustness experiments: apply fabrication gray-zone variation
-     * and/or stuck-cell faults to every mapped tile (including the
-     * head). Returns the number of stuck cells injected.
-     */
-    std::size_t injectVariation(double gray_zone_sigma,
-                                double stuck_cell_fraction, Rng &rng);
-
-    /**
-     * Reproducible variation injection for Monte-Carlo yield sweeps:
-     * every tile's stuck-cell mask is seeded per
+     * Robustness experiments and Monte-Carlo yield sweeps: apply
+     * fabrication gray-zone variation and/or stuck-cell faults to
+     * every mapped tile (including the head). Each tile's stuck-cell
+     * mask is seeded per
      * faultMaskSeed(master_seed, chip_index, layer, rt, ct) through
      * the counter-stream path (crossbar::CrossbarArray::
      * injectStuckCellsSeeded), and each tile's gray-zone variation
@@ -274,13 +248,6 @@ class HardwareEvaluator
      * per-chip attribution.
      */
     aqfp::LedgerCounts totalLedgerCounts() const;
-
-    /**
-     * Legacy single-config view (HardwarePlan::representative of the
-     * active plan): exact for uniform plans, first-entry representative
-     * for heterogeneous ones.
-     */
-    const HardwareConfig &config() const { return cfg; }
 
     /** The per-layer plan this evaluator runs (uniform or not). */
     const HardwarePlan &plan() const { return plan_; }
@@ -323,7 +290,6 @@ class HardwareEvaluator
 
     aqfp::AttenuationModel atten;
     HardwarePlan plan_;
-    HardwareConfig cfg; ///< plan_.representative(), the legacy view
     /// plan_ resolved against the mapped model (one entry per cell,
     /// head last); filled by mapMlp/mapCnn.
     std::vector<LayerHardwareConfig> resolved_;
@@ -365,12 +331,9 @@ class HardwareEvaluator
     aqfp::LayerSpec layerSpec(std::size_t i) const;
 
     /**
-     * Where an executor pass's per-sample root draws come from: a
-     * shared Rng assigns them layer-major across the whole batch (the
-     * historical batched contract), while per-request engines pin each
-     * sample's draw sequence to its own request seed (the serving
-     * contract behind classScoresSeeded: batched == singleton
-     * bit-exactly). Defined in the .cc.
+     * Per-request root-draw engines of one batched evaluation: each
+     * sample's draw sequence is pinned to its own seed, so batched ==
+     * singleton bit-exactly. Defined in the .cc.
      */
     struct RootSource;
 

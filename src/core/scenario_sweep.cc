@@ -192,21 +192,6 @@ ScenarioSweep::chipEvalSeed(std::uint64_t master_seed, std::size_t corner,
     return splitmix64(s ^ (chip + 1));
 }
 
-HardwareConfig
-ScenarioSweep::cornerConfig(const ScenarioCorner &corner) const
-{
-    HardwareConfig cfg = base.representative();
-    cfg.crossbarSize = corner.config.crossbarSize;
-    cfg.window = corner.config.window;
-    // Temperature corner: the gray zone widens multiplicatively.
-    cfg.deltaIinUa = base.representative().deltaIinUa
-        * corner.grayZoneScale;
-    // One chip = one executor task; the chip itself runs sequentially
-    // so the sweep's parallelism lives entirely in the chip fan-out.
-    cfg.threads = 1;
-    return cfg;
-}
-
 HardwarePlan
 ScenarioSweep::cornerPlan(const ScenarioCorner &corner) const
 {
@@ -214,8 +199,7 @@ ScenarioSweep::cornerPlan(const ScenarioCorner &corner) const
     for (LayerHardwareConfig &entry : plan.layers) {
         // An explicit grid.configs axis is a deliberate uniform
         // (Cs, L) override; a defaulted axis leaves a heterogeneous
-        // base plan's per-layer geometry intact. For a uniform base
-        // both branches write the same values as cornerConfig().
+        // base plan's per-layer geometry intact.
         if (corner.configFromGrid || plan.uniform()) {
             entry.crossbarSize = corner.config.crossbarSize;
             entry.window = corner.config.window;

@@ -238,20 +238,11 @@ class ScenarioSweep
                                       std::uint64_t chip);
 
     /**
-     * The legacy single-config view of a corner's operating point
-     * (derived from the base plan's representative). For a
-     * heterogeneous base plan use cornerPlan() — this view carries only
-     * the first layer's point.
-     */
-    HardwareConfig cornerConfig(const ScenarioCorner &corner) const;
-
-    /**
      * The HardwarePlan a corner's chips evaluate under: the base
      * plan's layers with the corner's gray-zone scale folded into
      * every entry's deltaIin, (Cs, L) overridden uniformly when the
      * corner's config came from an explicit grid axis, and threads
-     * pinned to 1 (one chip = one executor task). For a uniform base
-     * this resolves to exactly cornerConfig(corner) broadcast.
+     * pinned to 1 (one chip = one executor task).
      */
     HardwarePlan cornerPlan(const ScenarioCorner &corner) const;
 

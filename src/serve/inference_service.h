@@ -11,7 +11,7 @@
  * carries its own noise seed and runs through
  * core::HardwareEvaluator::classScoresSeeded, whose contract makes
  * every response bit-identical to a direct single-sample
- * `classScores(sample, Rng(seed))` call regardless of batch
+ * `classScoresSeeded({sample}, {seed})` call regardless of batch
  * composition, batch size, thread count, or SIMD arm.
  *
  * The full request lifecycle, batching/linger semantics, backpressure

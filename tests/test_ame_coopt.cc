@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the average-mismatch-error analysis (Eq. 18) and the
- * hardware-configuration co-optimizer (Section 5.4).
+ * hardware-configuration co-optimization (Section 5.4) through
+ * DesignSpaceExplorer.
  */
 
 #include <cmath>
@@ -9,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ame.h"
-#include "core/cooptimizer.h"
+#include "core/explorer.h"
 
 using namespace superbnn;
 using namespace superbnn::core;
@@ -20,6 +21,28 @@ aqfp::AttenuationModel
 atten()
 {
     return aqfp::AttenuationModel();
+}
+
+/**
+ * The accuracy-driven pick of Section 5.4 on the mnistMlp workload:
+ * maximal measured accuracy, ties broken by higher energy efficiency,
+ * then grid order — ranking by descending TOPS/W first makes
+ * best()'s first-among-ties rule apply that tie-break.
+ */
+CoOptCandidate
+bestByAccuracy(const DesignSpaceExplorer &explorer, const CoOptSpace &space,
+               const AccuracyFn &measure)
+{
+    ExploreOptions options;
+    options.accuracy = measure;
+    const CostFn lower_efficiency = [](const CoOptCandidate &c) {
+        return -c.energy.topsPerWatt;
+    };
+    return DesignSpaceExplorer::best(
+        DesignSpaceExplorer::ranked(
+            explorer.explore(aqfp::workloads::mnistMlp(), space, options),
+            lower_efficiency),
+        costs::accuracyLoss());
 }
 
 } // namespace
@@ -96,21 +119,21 @@ INSTANTIATE_TEST_SUITE_P(GrayZones, AmeGrayZoneSweep,
 
 TEST(CoOpt, EnumerateRespectsConstraint)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 16, 36};
     space.grayZones = {2.4};
     space.bitstreamLengths = {1, 8, 32};
     space.minTopsPerWatt = 0.0;
     const auto all =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     EXPECT_EQ(all.size(), 9u);
 
     // Tighten the constraint: candidates must shrink and all satisfy it.
     double median = all[all.size() / 2].energy.topsPerWatt;
     space.minTopsPerWatt = median;
     const auto feasible =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     EXPECT_LT(feasible.size(), all.size());
     for (const auto &c : feasible)
         EXPECT_GE(c.energy.topsPerWatt, median);
@@ -118,29 +141,29 @@ TEST(CoOpt, EnumerateRespectsConstraint)
 
 TEST(CoOpt, BestByAmeIsFeasibleMinimum)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 16, 36, 72};
     space.grayZones = {0.8, 2.4, 4.0};
     space.bitstreamLengths = {4};
-    const auto best =
-        opt.bestByAme(aqfp::workloads::mnistMlp(), space);
+    const auto best = DesignSpaceExplorer::best(
+        explorer.explore(aqfp::workloads::mnistMlp(), space),
+        costs::ame());
     for (const auto &c :
-         opt.enumerate(aqfp::workloads::mnistMlp(), space))
+         explorer.explore(aqfp::workloads::mnistMlp(), space))
         EXPECT_LE(best.ame, c.ame + 1e-15);
 }
 
 TEST(CoOpt, OptimizeUsesCallback)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 16};
     space.grayZones = {2.4};
     space.bitstreamLengths = {1, 16};
     // Fake accuracy: prefers Cs=16, L=16.
-    const auto best = opt.optimize(
-        aqfp::workloads::mnistMlp(), space,
-        [](const aqfp::AcceleratorConfig &c) {
+    const auto best = bestByAccuracy(
+        explorer, space, [](const aqfp::AcceleratorConfig &c) {
             return (c.crossbarSize == 16 ? 0.5 : 0.0)
                 + (c.bitstreamLength == 16 ? 0.4 : 0.0);
         });
@@ -152,13 +175,13 @@ TEST(CoOpt, OptimizeUsesCallback)
 
 TEST(CoOpt, AccuracyTieBrokenByEfficiency)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {16};
     space.grayZones = {2.4};
     space.bitstreamLengths = {4, 32};
-    const auto best = opt.optimize(
-        aqfp::workloads::mnistMlp(), space,
+    const auto best = bestByAccuracy(
+        explorer, space,
         [](const aqfp::AcceleratorConfig &) { return 0.5; });
     // Equal accuracy: the shorter window (higher efficiency) must win.
     EXPECT_EQ(best.config.bitstreamLength, 4u);
@@ -166,19 +189,19 @@ TEST(CoOpt, AccuracyTieBrokenByEfficiency)
 
 TEST(CoOpt, JjBudgetFiltersLargeConfigs)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 144};
     space.grayZones = {2.4};
     space.bitstreamLengths = {1};
     const auto unbounded =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     ASSERT_EQ(unbounded.size(), 2u);
     const std::size_t small_jj =
         std::min(unbounded[0].energy.totalJj,
                  unbounded[1].energy.totalJj);
     space.maxTotalJj = small_jj + 1;
     const auto bounded =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     EXPECT_EQ(bounded.size(), 1u);
 }

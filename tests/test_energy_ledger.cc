@@ -408,7 +408,7 @@ TEST(EvaluatorEnergyTest, PerLayerReportsReconcile)
     std::vector<Tensor> samples;
     for (int b = 0; b < 3; ++b)
         samples.push_back(Tensor::randn({1, 24}, eval_rng));
-    eval.classScores(samples, eval_rng);
+    eval.classScoresSeeded(samples, {51, 52, 53});
     EXPECT_EQ(eval.imagesObserved(), 3u);
 
     const auto reports = eval.energyReports(5.0);
@@ -430,8 +430,7 @@ TEST(EvaluatorEnergyTest, PerLayerReportsReconcile)
     // Counts accumulate per image; a second batch doubles nothing but
     // the totals (the per-image measured report is unchanged).
     const auto first = reports[0].measured;
-    Rng eval_rng2(6);
-    eval.classScores(samples, eval_rng2);
+    eval.classScoresSeeded(samples, {61, 62, 63});
     const auto again = eval.energyReports(5.0);
     EXPECT_EQ(again[0].counts.samples, 6u);
     EXPECT_DOUBLE_EQ(again[0].measured.totalEnergyAj,
@@ -471,7 +470,7 @@ TEST(EvaluatorEnergyTest, CnnReportsCoverPositions)
     std::vector<Tensor> samples;
     for (int b = 0; b < 2; ++b)
         samples.push_back(Tensor::randn({1, 2, 6, 6}, eval_rng));
-    eval.classScores(samples, eval_rng);
+    eval.classScoresSeeded(samples, {71, 72});
 
     const auto reports = eval.energyReports();
     ASSERT_EQ(reports.size(), 2u);

@@ -16,7 +16,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/cooptimizer.h"
 #include "core/explorer.h"
 #include "energy_ledger_util.h"
 
@@ -148,10 +147,10 @@ TEST(CoOptSpaceValidate, BadScalarsThrow)
 
 TEST(CoOptSpaceValidate, EnumerateValidatesTheSpace)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes.clear();
-    EXPECT_THROW(opt.enumerate(aqfp::workloads::mnistMlp(), space),
+    EXPECT_THROW(explorer.explore(aqfp::workloads::mnistMlp(), space),
                  std::invalid_argument);
 }
 
@@ -159,40 +158,40 @@ TEST(CoOptSpaceValidate, EnumerateValidatesTheSpace)
 
 TEST(EmptyFeasibleSet, EnumerateReturnsEmptyWithoutThrowing)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space = tailSpace();
     space.minTopsPerWatt = 1e30; // excludes everything
-    EXPECT_TRUE(opt.enumerate(tailWorkload(), space).empty());
+    EXPECT_TRUE(explorer.explore(tailWorkload(), space).empty());
 }
 
 TEST(EmptyFeasibleSet, BestByAmeThrowsDocumentedException)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space = tailSpace();
     space.minTopsPerWatt = 1e30;
-    EXPECT_THROW(opt.bestByAme(tailWorkload(), space),
+    const auto cands = explorer.explore(tailWorkload(), space);
+    EXPECT_THROW(DesignSpaceExplorer::best(cands, costs::ame()),
                  NoFeasibleCandidateError);
     // ...which is a runtime_error, so legacy catch sites still work.
-    EXPECT_THROW(opt.bestByAme(tailWorkload(), space),
+    EXPECT_THROW(DesignSpaceExplorer::best(cands, costs::ame()),
                  std::runtime_error);
-    EXPECT_FALSE(opt.tryBestByAme(tailWorkload(), space).has_value());
 }
 
 TEST(EmptyFeasibleSet, OptimizeThrowsAndNeverInvokesCallback)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space = tailSpace();
     space.maxTotalJj = 1; // nothing fits one junction
     int calls = 0;
-    const AccuracyFn count_calls =
-        [&](const aqfp::AcceleratorConfig &) {
-            ++calls;
-            return 1.0;
-        };
-    EXPECT_THROW(opt.optimize(tailWorkload(), space, count_calls),
+    ExploreOptions options;
+    options.accuracy = [&](const aqfp::AcceleratorConfig &) {
+        ++calls;
+        return 1.0;
+    };
+    const auto cands = explorer.explore(tailWorkload(), space, options);
+    EXPECT_TRUE(cands.empty());
+    EXPECT_THROW(DesignSpaceExplorer::best(cands, costs::accuracyLoss()),
                  NoFeasibleCandidateError);
-    EXPECT_FALSE(
-        opt.tryOptimize(tailWorkload(), space, count_calls).has_value());
     EXPECT_EQ(calls, 0);
 }
 
@@ -274,24 +273,7 @@ TEST(CostFns, ParetoFrontDropsDominatedCandidates)
     EXPECT_DOUBLE_EQ(front[2].energy.totalEnergyAj, 4.0);
 }
 
-// --- facade / explorer agreement ------------------------------------------
-
-TEST(Explorer, ExploreMatchesFacadeEnumerate)
-{
-    CoOptSpace space;
-    space.crossbarSizes = {8, 16};
-    space.grayZones = {1.6, 2.4};
-    space.bitstreamLengths = {4};
-    const aqfp::WorkloadSpec workload = aqfp::workloads::mnistMlp();
-
-    const CoOptimizer opt(atten());
-    const auto facade = opt.enumerate(workload, space);
-
-    const DesignSpaceExplorer explorer(atten());
-    const auto explored = explorer.explore(workload, space);
-    expectBitIdentical(facade, explored);
-    EXPECT_EQ(explored.size(), 4u);
-}
+// --- explorer grid ----------------------------------------------------------
 
 TEST(Explorer, GridOrderIsDeterministic)
 {

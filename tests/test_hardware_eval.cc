@@ -5,6 +5,8 @@
  * bitstream-length / gray-zone effects of Figures 10 and 11 must show.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/hardware_eval.h"
@@ -132,19 +134,24 @@ TEST_F(TrainedMlpTest, PredictIsWithinClassRange)
 {
     HardwareEvaluator eval(*attenModel, {16, 4, 2.4, false, 0.5});
     eval.mapMlp(*model);
-    Rng eval_rng(9);
-    for (std::size_t i = 0; i < 10; ++i)
-        EXPECT_LT(eval.predict(dataset->test.sample(i), eval_rng), 10u);
+    std::vector<Tensor> samples;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < 10; ++i) {
+        samples.push_back(dataset->test.sample(i));
+        seeds.push_back(900 + i);
+    }
+    for (const std::size_t p : eval.predictSeeded(samples, seeds))
+        EXPECT_LT(p, 10u);
 }
 
 TEST_F(TrainedMlpTest, ClassScoresHaveTenEntries)
 {
     HardwareEvaluator eval(*attenModel, {16, 4, 2.4, false, 0.5});
     eval.mapMlp(*model);
-    Rng eval_rng(10);
     const auto scores =
-        eval.classScores(dataset->test.sample(0), eval_rng);
-    EXPECT_EQ(scores.size(), 10u);
+        eval.classScoresSeeded({dataset->test.sample(0)}, {10});
+    ASSERT_EQ(scores.size(), 1u);
+    EXPECT_EQ(scores[0].size(), 10u);
 }
 
 TEST_F(TrainedMlpTest, ExactApcAtLeastAsGoodOnAverage)
@@ -178,18 +185,33 @@ TEST(HardwareEvalCnn, SmokeTestOnTinyCnn)
     EXPECT_GT(eval.totalCrossbars(), 0u);
 
     Tensor sample = Tensor::randn({1, 3, 16, 16}, rng);
-    Rng eval_rng(13);
-    const auto scores = eval.classScores(sample, eval_rng);
-    EXPECT_EQ(scores.size(), 10u);
-    EXPECT_LT(eval.predict(sample, eval_rng), 10u);
+    const auto scores = eval.classScoresSeeded({sample}, {13});
+    EXPECT_EQ(scores[0].size(), 10u);
+    EXPECT_LT(eval.predictSeeded({sample}, {13})[0], 10u);
 }
 
 TEST(HardwareEvalConfig, StoredAndExposed)
 {
     const aqfp::AttenuationModel atten;
     HardwareEvaluator eval(atten, {36, 8, 1.6, true, 0.25});
-    EXPECT_EQ(eval.config().crossbarSize, 36u);
-    EXPECT_EQ(eval.config().window, 8u);
-    EXPECT_DOUBLE_EQ(eval.config().deltaIinUa, 1.6);
-    EXPECT_TRUE(eval.config().exactApc);
+    ASSERT_EQ(eval.plan().layers.size(), 1u);
+    EXPECT_EQ(eval.plan().layers[0].crossbarSize, 36u);
+    EXPECT_EQ(eval.plan().layers[0].window, 8u);
+    EXPECT_DOUBLE_EQ(eval.plan().layers[0].deltaIinUa, 1.6);
+    EXPECT_TRUE(eval.plan().exactApc);
+}
+
+TEST(HardwareEvalUnmapped, ScoringThrowsInsteadOfIndexingNothing)
+{
+    const aqfp::AttenuationModel atten;
+    const HardwareEvaluator eval(atten, {16, 4, 2.4, false, 0.5});
+    const Tensor sample({1, 16}, 0.5f);
+    EXPECT_THROW(eval.classScoresSeeded({sample}, {1}), std::logic_error);
+    EXPECT_THROW(eval.predictSeeded({sample}, {1}), std::logic_error);
+
+    data::Dataset ds;
+    ds.samples = Tensor({2, 16}, 0.5f);
+    ds.labels = {0, 1};
+    Rng rng(2);
+    EXPECT_THROW(eval.evaluate(ds, 0, rng), std::logic_error);
 }

@@ -240,12 +240,9 @@ TEST(HardwarePlanUniform, BitIdenticalToLegacyConfigPath)
                               HardwarePlan(cfg)};
     uniform.mapMlp(mlp);
 
-    // Scores: bit-exact, including the shared-Rng batched path.
+    // Scores: bit-exact.
     EXPECT_EQ(legacy.classScoresSeeded(batch, seeds),
               uniform.classScoresSeeded(batch, seeds));
-    Rng ra(77), rb(77);
-    EXPECT_EQ(legacy.classScores(batch, ra),
-              uniform.classScores(batch, rb));
 
     // Ledger counts: identical observed activity.
     EXPECT_EQ(aqfp::toJson(legacy.totalLedgerCounts()),

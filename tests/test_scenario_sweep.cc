@@ -394,7 +394,7 @@ TEST(ScenarioSweepTest, ZeroFaultCornerReproducesEvaluateExactly)
     for (const ChipResult &chip : corner.chips) {
         HardwareEvaluator eval(
             aqfp::AttenuationModel(corner.corner.fit),
-            sweep.cornerConfig(corner.corner));
+            sweep.cornerPlan(corner.corner));
         eval.mapMlp(*work.mlp);
         Rng rng(ScenarioSweep::chipEvalSeed(opts.masterSeed, 0,
                                             chip.chip));

@@ -2,7 +2,8 @@
  * @file
  * Inference-service tests: the seeded-evaluation determinism contract
  * (request-pinned noise makes batching invisible — batched ==
- * singletons bit-exactly, for MLPs and CNNs, at any thread count),
+ * singletons bit-exactly, for MLPs and CNNs, at any thread count, and
+ * evaluate() scores the same at every evalBatch),
  * scheduler edge cases (zero linger, full-queue rejection,
  * shutdown-while-queued drain), exact per-request ledger attribution,
  * and the socket server round trip.
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -65,10 +67,10 @@ imageSample(std::size_t channels, std::size_t side, std::size_t tag)
 
 /**
  * A small UNTRAINED two-hidden-layer MLP (32-24-16-4): multi-layer on
- * purpose, because that is exactly where the shared-Rng batched path
- * diverges from N singles (layer-major root draws) and the seeded path
- * must not. Random weights are as good as trained ones for bit-exact
- * determinism properties.
+ * purpose, because that is where a batch-wide (layer-major) assignment
+ * of root draws would make a batch differ from N singles. Random
+ * weights are as good as trained ones for bit-exact determinism
+ * properties.
  */
 RandomizedMlp
 makeTinyMlp()
@@ -125,13 +127,20 @@ quickConfig()
 
 TEST(ClassScoresSeeded, SingleRequestMatchesDirectCall)
 {
+    // A single request's scores are a pure function of (sample, seed):
+    // a second evaluator over the same model reproduces them, and
+    // predictSeeded is their argmax.
     const auto eval = makeMlpEvaluator();
     const Tensor sample = flatSample(32, 3);
-    Rng direct(99);
-    const auto expected = eval->classScores(sample, direct);
     const auto seeded = eval->classScoresSeeded({sample}, {99});
     ASSERT_EQ(seeded.size(), 1u);
-    EXPECT_EQ(seeded[0], expected);
+    ASSERT_EQ(seeded[0].size(), 4u);
+    EXPECT_EQ(makeMlpEvaluator(8)->classScoresSeeded({sample}, {99}),
+              seeded);
+    const auto best = std::max_element(seeded[0].begin(), seeded[0].end())
+        - seeded[0].begin();
+    EXPECT_EQ(eval->predictSeeded({sample}, {99})[0],
+              static_cast<std::size_t>(best));
 }
 
 TEST(ClassScoresSeeded, BatchedEqualsSinglesForMultiLayerMlp)
@@ -211,6 +220,85 @@ TEST(ClassScoresSeeded, SeedCountMismatchThrows)
     EXPECT_TRUE(eval->classScoresSeeded({}, {}).empty());
 }
 
+namespace {
+
+/**
+ * Checks evaluate()'s contract on the evaluator @p make builds for a
+ * given evalBatch: one seed per sample drawn from Rng(seed) in sample
+ * order, each sample scored as predictSeeded would, so the accuracy is
+ * the same at every evalBatch. The labels are set to those reference
+ * predictions, so a sample whose noise was assigned any other way shows
+ * up as a miss (accuracy exactly 1 otherwise).
+ */
+void
+expectEvaluateBatchInvariant(
+    data::Dataset ds,
+    const std::function<std::unique_ptr<HardwareEvaluator>(std::size_t)>
+        &make)
+{
+    const std::uint64_t seed = 2024;
+    Rng seeds_rng(seed);
+    std::vector<Tensor> samples;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+        samples.push_back(ds.sample(i));
+        seeds.push_back(seeds_rng.raw()());
+    }
+    ds.labels = make(1)->predictSeeded(samples, seeds);
+
+    for (const std::size_t batch : {1, 3, 8}) {
+        Rng rng(seed);
+        EXPECT_EQ(make(batch)->evaluate(ds, 0, rng), 1.0)
+            << "evalBatch " << batch;
+    }
+}
+
+} // namespace
+
+TEST(EvaluateSeeded, SameAccuracyAtEveryEvalBatchForMultiLayerMlp)
+{
+    const std::size_t n = 24;
+    data::Dataset ds;
+    ds.samples = Tensor(Shape{n, 32});
+    for (std::size_t i = 0; i < ds.samples.size(); ++i)
+        ds.samples[i] = hashedFloat(i);
+    ds.labels.assign(n, 0);
+    const RandomizedMlp mlp = makeTinyMlp();
+    expectEvaluateBatchInvariant(ds, [&](std::size_t batch) {
+        auto eval = std::make_unique<HardwareEvaluator>(
+            aqfp::AttenuationModel(),
+            HardwareConfig{8, 2, 2.4, false, 0.25, 1, batch});
+        eval->mapMlp(mlp);
+        return eval;
+    });
+}
+
+TEST(EvaluateSeeded, SameAccuracyAtEveryEvalBatchForCnn)
+{
+    RandomizedCnn::Config cfg;
+    cfg.inputChannels = 2;
+    cfg.inputSide = 8;
+    cfg.channels = {6, 8};
+    cfg.poolAfter = {true, false};
+    cfg.classes = 3;
+    Rng rng(78);
+    const RandomizedCnn cnn(cfg, AqfpBehavior{8, 2.4, 0.0},
+                            aqfp::AttenuationModel(), rng);
+    const std::size_t n = 12;
+    data::Dataset ds;
+    ds.samples = Tensor(Shape{n, 2, 8, 8});
+    for (std::size_t i = 0; i < ds.samples.size(); ++i)
+        ds.samples[i] = hashedFloat(i + 31);
+    ds.labels.assign(n, 0);
+    expectEvaluateBatchInvariant(ds, [&](std::size_t batch) {
+        auto eval = std::make_unique<HardwareEvaluator>(
+            aqfp::AttenuationModel(),
+            HardwareConfig{8, 2, 2.4, false, 0.25, 1, batch});
+        eval->mapCnn(cnn);
+        return eval;
+    });
+}
+
 // ---------------------------------------------------------------------
 // Service behavior
 // ---------------------------------------------------------------------
@@ -219,10 +307,8 @@ TEST(InferenceService, SingleRequestMatchesDirectPredict)
 {
     const auto eval = makeMlpEvaluator();
     const Tensor sample = flatSample(32, 11);
-    Rng direct(4242);
-    const std::size_t expected = eval->predict(sample, direct);
-    Rng again(4242);
-    const auto scores = eval->classScores(sample, again);
+    const std::size_t expected = eval->predictSeeded({sample}, {4242})[0];
+    const auto scores = eval->classScoresSeeded({sample}, {4242})[0];
 
     InferenceService service(*eval, quickConfig());
     const InferenceResponse r = service.submit(sample, 4242).get();
