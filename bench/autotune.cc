@@ -68,7 +68,7 @@ sweepWorkload(const aqfp::WorkloadSpec &workload,
     // bounds resident mapped-model memory to one workload's geometries.
     const DesignSpaceExplorer explorer((aqfp::AttenuationModel()));
     ExploreOptions options;
-    options.measure = true; // threads = 0: shared ExecutorPool fan-out
+    options.measure = true; // threads = 0: shared-pool fan-out
 
     const auto candidates = explorer.explore(workload, space, options);
     const auto ranked =

@@ -87,7 +87,7 @@ energyProbeJson()
     const crossbar::MappedLayer l2 =
         geometryLayer(48, 10, config.crossbarSize, atten);
 
-    // threads = 0: the shared ExecutorPool, sized by SUPERBNN_THREADS —
+    // threads = 0: the shared pool, sized by SUPERBNN_THREADS —
     // the CI diff legs vary real scheduling underneath these counts.
     const crossbar::TileExecutor exec(config.bitstreamLength, false,
                                       0.25, 0);

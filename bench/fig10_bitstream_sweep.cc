@@ -56,7 +56,7 @@ main()
         std::printf("%12zu", cs);
         std::fflush(stdout);
         for (std::size_t l : lengths) {
-            HardwareEvaluator eval(atten, {cs, l, 2.4});
+            HardwareEvaluator eval(atten, HardwareConfig{cs, l, 2.4});
             eval.mapCnn(cnn);
             Rng eval_rng(5);
             const double acc =

@@ -42,7 +42,7 @@ trainAndMeasure(const data::SyntheticMnist &ds,
     if (sw_acc != nullptr)
         *sw_acc = result.finalTestAccuracy;
 
-    HardwareEvaluator eval(atten, {cs, 1, delta_iin});
+    HardwareEvaluator eval(atten, HardwareConfig{cs, 1, delta_iin});
     eval.mapMlp(mlp);
     Rng eval_rng(7);
     return eval.evaluate(ds.test, 120, eval_rng);
@@ -98,7 +98,7 @@ main()
     const Trainer trainer(cfg);
     sw_det =
         trainer.train(vanilla, ds.train, ds.test, rng).finalTestAccuracy;
-    HardwareEvaluator eval(atten, {16, 1, 2.4});
+    HardwareEvaluator eval(atten, HardwareConfig{16, 1, 2.4});
     eval.mapMlp(vanilla);
     Rng eval_rng(7);
     const double hw_det = eval.evaluate(ds.test, 120, eval_rng);

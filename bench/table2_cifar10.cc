@@ -68,7 +68,7 @@ main()
     const aqfp::EnergyModel energy;
     const auto vgg = aqfp::workloads::vggSmall();
     for (std::size_t len : {32u, 16u, 4u, 1u}) {
-        HardwareEvaluator eval(atten, {16, len, 2.4});
+        HardwareEvaluator eval(atten, HardwareConfig{16, len, 2.4});
         eval.mapCnn(cnn);
         Rng eval_rng(5);
         const double acc = eval.evaluate(ds.test, 20, eval_rng);

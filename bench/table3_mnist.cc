@@ -44,7 +44,7 @@ main()
     const Trainer trainer(cfg);
     const auto tr = trainer.train(mlp, ds.train, ds.test, rng);
 
-    HardwareEvaluator eval(atten, {16, 16, 2.4});
+    HardwareEvaluator eval(atten, HardwareConfig{16, 16, 2.4});
     eval.mapMlp(mlp);
     Rng eval_rng(7);
     const double hw_acc = eval.evaluate(ds.test, 200, eval_rng);

@@ -46,7 +46,7 @@ main()
     std::printf("\n%6s %14s %14s %14s\n", "L", "hw acc",
                 "TOPS/W (VGG)", "img/ms");
     for (std::size_t window : {1u, 8u, 32u}) {
-        HardwareEvaluator hw(atten, {16, window, 2.4});
+        HardwareEvaluator hw(atten, HardwareConfig{16, window, 2.4});
         hw.mapCnn(model);
         Rng eval_rng(9);
         const double acc = hw.evaluate(ds.test, 15, eval_rng);

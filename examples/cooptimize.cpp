@@ -76,9 +76,9 @@ main()
         const Trainer trainer(tcfg);
         trainer.train(model, ds.train, ds.test, rng);
         HardwareEvaluator hw(atten,
-                             {cand.config.crossbarSize,
-                              cand.config.bitstreamLength,
-                              cand.config.deltaIinUa});
+                             HardwareConfig{cand.config.crossbarSize,
+                                            cand.config.bitstreamLength,
+                                            cand.config.deltaIinUa});
         hw.mapMlp(model);
         Rng eval_rng(13);
         const double acc = hw.evaluate(ds.test, 100, eval_rng);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 #include "util/thread_pool.h"
 

@@ -19,10 +19,11 @@
  *     simulation) — feasibility is a separate stage, never entangled
  *     with ranking;
  *  3. evaluate the feasible candidates — AME and (optionally) the
- *     ledger-measured energy report — fanned out on the shared
- *     util::ExecutorPool, with mapped models and calibration counts
- *     reused across candidates through the ProgrammedModelCache /
- *     MeasuredCostProbe instead of re-derived per point;
+ *     ledger-measured energy report — striped across the shards of
+ *     the shared util::ShardedExecutorPool, with mapped models and
+ *     calibration counts reused across candidates through the
+ *     ProgrammedModelCache / MeasuredCostProbe instead of re-derived
+ *     per point;
  *  4. rank under a pluggable CostFn (analytic energy, measured energy,
  *     AME, accuracy loss, weighted combinations) and/or extract the
  *     Pareto front of two competing costs.
@@ -167,9 +168,10 @@ struct ExploreOptions
     /// sequentially in enumeration order (user callbacks need not be
     /// thread-safe). Fills CoOptCandidate::accuracy.
     AccuracyFn accuracy;
-    /// Concurrency of the evaluation fan-out: 0 (default) shares the
-    /// process-wide util::ExecutorPool, 1 = sequential, N > 1 = a
-    /// private N-thread pool. Results are bit-identical regardless.
+    /// Concurrency of the evaluation fan-out: 0 (default) stripes it
+    /// across the shards of the process-wide util::ShardedExecutorPool,
+    /// 1 = sequential, N > 1 = a private N-thread pool. Results are
+    /// bit-identical regardless.
     std::size_t threads = 0;
 };
 

@@ -60,12 +60,6 @@ faultMaskSeed(std::uint64_t master_seed, std::uint64_t chip_index,
 }
 
 HardwareEvaluator::HardwareEvaluator(aqfp::AttenuationModel attenuation,
-                                     HardwareConfig config)
-    : HardwareEvaluator(std::move(attenuation), HardwarePlan(config))
-{
-}
-
-HardwareEvaluator::HardwareEvaluator(aqfp::AttenuationModel attenuation,
                                      HardwarePlan plan)
     : atten(std::move(attenuation)), plan_(std::move(plan))
 {
@@ -76,9 +70,7 @@ HardwareEvaluator::resolvePlan(std::size_t cell_count)
 {
     resolved_ = plan_.resolve(cell_count);
     // One executor per DISTINCT window, first-occurrence order: a
-    // uniform plan builds exactly one with the legacy constructor
-    // arguments, so its forward passes are bit-identical to the old
-    // single-executor member.
+    // uniform plan builds exactly one, shared by every layer.
     executors_.clear();
     execIndex_.assign(resolved_.size(), 0);
     std::vector<std::size_t> windows;
@@ -287,8 +279,7 @@ HardwareEvaluator::energyReports(double frequency_ghz) const
         const crossbar::MappedLayer &layer =
             i == mapped.size() ? headMapped : mapped[i].layer;
         // Each layer is priced at ITS OWN operating point (uniform
-        // plans resolve every entry to the same point, reproducing the
-        // legacy single-acfg path bit-exactly).
+        // plans resolve every entry to the same point).
         const aqfp::AcceleratorConfig acfg{
             resolved_[i].crossbarSize, resolved_[i].window, frequency_ghz,
             resolved_[i].deltaIinUa};

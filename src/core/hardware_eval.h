@@ -42,11 +42,6 @@ std::uint64_t faultMaskSeed(std::uint64_t master_seed,
                             std::uint64_t chip_index, std::size_t layer,
                             std::size_t rt, std::size_t ct);
 
-// HardwareConfig (the legacy single-point configuration) and the
-// per-layer HardwarePlan live in core/hardware_plan.h, included above
-// so every historical `#include "core/hardware_eval.h"` site still
-// sees HardwareConfig.
-
 /**
  * Ledger-priced, reconciled energy accounting for one mapped layer:
  * the raw activity observed while the simulator ran, that activity
@@ -98,21 +93,14 @@ class HardwareEvaluator
 {
   public:
     /**
-     * Uniform-plan evaluator: every layer runs at @p config's
-     * operating point (the legacy API, bit-identical to the plan
-     * constructor with HardwarePlan(config)).
-     * @throws std::invalid_argument via HardwareConfig::validate
-     */
-    HardwareEvaluator(aqfp::AttenuationModel atten, HardwareConfig config);
-
-    /**
      * Per-layer plan evaluator: each mapped cell i (hidden layers in
      * network order, head last) is mapped at plan entry i's (Cs,
      * deltaIin) and executed at its window L_i, with ledger draw
      * accounting following suit (Cs_i * L_i raw draws per tile
-     * observation). A uniform (single-entry) plan broadcasts; a
-     * multi-entry plan must match the mapped model's cell count
-     * (mapMlp/mapCnn throw via HardwarePlan::resolve otherwise).
+     * observation). A uniform (single-entry) plan — what a
+     * HardwareConfig converts to — broadcasts; a multi-entry plan must
+     * match the mapped model's cell count (mapMlp/mapCnn throw via
+     * HardwarePlan::resolve otherwise).
      * @throws std::invalid_argument via HardwarePlan::validate
      */
     HardwareEvaluator(aqfp::AttenuationModel atten, HardwarePlan plan);
@@ -294,8 +282,7 @@ class HardwareEvaluator
     /// head last); filled by mapMlp/mapCnn.
     std::vector<LayerHardwareConfig> resolved_;
     /// One TileExecutor per DISTINCT window among resolved_ (a uniform
-    /// plan builds exactly one, with the same arguments as the legacy
-    /// path); execIndex_[i] is cell i's executor.
+    /// plan builds exactly one); execIndex_[i] is cell i's executor.
     std::vector<crossbar::TileExecutor> executors_;
     std::vector<std::size_t> execIndex_;
     /// Explicit shard handle from setExecutorPool (null = none);

@@ -6,44 +6,21 @@
 
 namespace superbnn::core {
 
-namespace {
-
-/** Shared field checks for the (Cs, L, deltaIin) triple. */
-void
-validatePoint(const char *type, std::size_t crossbar_size,
-              std::size_t window, double delta_iin_ua)
-{
-    const std::string prefix(type);
-    if (crossbar_size == 0)
-        throw std::invalid_argument(
-            prefix + ": crossbarSize must be >= 1 (a zero-size crossbar "
-                     "maps no layer)");
-    if (window == 0)
-        throw std::invalid_argument(
-            prefix + ": window must be >= 1 (the SC bitstream must span "
-                     "at least one cycle)");
-    if (!std::isfinite(delta_iin_ua) || !(delta_iin_ua > 0.0))
-        throw std::invalid_argument(
-            prefix + ": deltaIinUa must be positive and finite (got "
-            + std::to_string(delta_iin_ua) + ")");
-}
-
-} // namespace
-
-void
-HardwareConfig::validate() const
-{
-    validatePoint("HardwareConfig", crossbarSize, window, deltaIinUa);
-    if (evalBatch == 0)
-        throw std::invalid_argument(
-            "HardwareConfig: evalBatch must be >= 1 (evaluate() needs "
-            "at least one sample per executor pass)");
-}
-
 void
 LayerHardwareConfig::validate() const
 {
-    validatePoint("LayerHardwareConfig", crossbarSize, window, deltaIinUa);
+    if (crossbarSize == 0)
+        throw std::invalid_argument(
+            "LayerHardwareConfig: crossbarSize must be >= 1 (a zero-size "
+            "crossbar maps no layer)");
+    if (window == 0)
+        throw std::invalid_argument(
+            "LayerHardwareConfig: window must be >= 1 (the SC bitstream "
+            "must span at least one cycle)");
+    if (!std::isfinite(deltaIinUa) || !(deltaIinUa > 0.0))
+        throw std::invalid_argument(
+            "LayerHardwareConfig: deltaIinUa must be positive and finite "
+            "(got " + std::to_string(deltaIinUa) + ")");
 }
 
 bool
@@ -67,14 +44,11 @@ HardwarePlan::HardwarePlan(const HardwareConfig &config)
       exactApc(config.exactApc), dropFraction(config.dropFraction),
       threads(config.threads), evalBatch(config.evalBatch)
 {
-    config.validate();
+    validate();
 }
 
-HardwarePlan::HardwarePlan(std::vector<LayerHardwareConfig> layer_points,
-                           const HardwareConfig &shared)
-    : layers(std::move(layer_points)), exactApc(shared.exactApc),
-      dropFraction(shared.dropFraction), threads(shared.threads),
-      evalBatch(shared.evalBatch)
+HardwarePlan::HardwarePlan(std::vector<LayerHardwareConfig> layer_points)
+    : layers(std::move(layer_points))
 {
     validate();
 }
@@ -113,21 +87,6 @@ HardwarePlan::resolve(std::size_t cell_count) const
             + " cells (hidden layers + head); a heterogeneous plan "
               "must match exactly");
     return layers;
-}
-
-HardwareConfig
-HardwarePlan::representative() const
-{
-    validate();
-    HardwareConfig cfg;
-    cfg.crossbarSize = layers[0].crossbarSize;
-    cfg.window = layers[0].window;
-    cfg.deltaIinUa = layers[0].deltaIinUa;
-    cfg.exactApc = exactApc;
-    cfg.dropFraction = dropFraction;
-    cfg.threads = threads;
-    cfg.evalBatch = evalBatch;
-    return cfg;
 }
 
 bool

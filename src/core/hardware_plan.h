@@ -14,12 +14,11 @@
  * and the whole evaluation stack (mapper, executor windows, ledger
  * pricing, scenario sweep, explorer) resolves against it.
  *
- * Uniform-plan adapter contract: HardwarePlan(HardwareConfig) is a
- * single-entry broadcast plan, and every code path driven by it is
- * bit-identical to the legacy single-config path — scores, ledger
- * counts and energy reports included. Heterogeneous plans obey the
- * same determinism contract as everything else: results are
- * bit-identical across thread counts, SIMD arms, batch splits and
+ * A HardwareConfig is shorthand for a uniform plan: it converts
+ * implicitly to a single-entry broadcast HardwarePlan, which is how
+ * every uniform call site spells its operating point. Heterogeneous
+ * plans obey the same determinism contract as everything else: results
+ * are bit-identical across thread counts, SIMD arms, batch splits and
  * warm/cold model caches.
  */
 
@@ -32,13 +31,12 @@
 namespace superbnn::core {
 
 /**
- * Hardware simulation configuration (the legacy one-global-point API,
- * still the way every uniform call site spells an operating point).
+ * One operating point for the whole network: shorthand for a uniform
+ * HardwarePlan, to which it converts implicitly.
  *
  * Remains an aggregate on purpose — call sites brace-initialize it
- * positionally — so validation is a member the consuming constructors
- * (HardwareEvaluator, HardwarePlan, ScenarioSweep) invoke rather than
- * a user-declared constructor.
+ * positionally — so it carries no constructor or validation of its
+ * own; HardwarePlan validates it on conversion.
  */
 struct HardwareConfig
 {
@@ -47,21 +45,10 @@ struct HardwareConfig
     double deltaIinUa = 2.4;         ///< neuron gray-zone width
     bool exactApc = false;           ///< ablation: exact parallel counter
     double dropFraction = 0.25;      ///< APC approximation level
-    /// Executor concurrency: 0 (default) shares the process-wide
-    /// util::ExecutorPool (sized from SUPERBNN_THREADS / hardware
-    /// threads when that pool is first created), 1 = sequential,
-    /// N > 1 = a private N-thread pool.
+    /// Executor concurrency (same convention as HardwarePlan::threads).
     std::size_t threads = 0;
     /// Samples evaluated per batched executor pass in evaluate().
     std::size_t evalBatch = 8;
-
-    /**
-     * Reject configurations that would be downstream UB instead of a
-     * simulation: crossbarSize == 0, window == 0, evalBatch == 0, or a
-     * non-finite / non-positive deltaIinUa.
-     * @throws std::invalid_argument naming the offending field
-     */
-    void validate() const;
 };
 
 /**
@@ -77,8 +64,9 @@ struct LayerHardwareConfig
     double deltaIinUa = 2.4;       ///< this layer's neuron gray-zone width
 
     /**
-     * Same rejection rules as HardwareConfig::validate for the three
-     * per-layer fields.
+     * Reject points that would be downstream UB instead of a
+     * simulation: crossbarSize == 0, window == 0, or a non-finite /
+     * non-positive deltaIinUa.
      * @throws std::invalid_argument naming the offending field
      */
     void validate() const;
@@ -93,10 +81,9 @@ bool operator!=(const LayerHardwareConfig &a, const LayerHardwareConfig &b);
  * plus the shared execution knobs.
  *
  * A single-entry plan is a BROADCAST: it applies its one point to every
- * cell of whatever model is mapped (the uniform adapter for the legacy
- * HardwareConfig API). A multi-entry plan must match the mapped
- * model's cell count exactly — resolve() throws otherwise, naming both
- * counts.
+ * cell of whatever model is mapped (what a HardwareConfig converts
+ * to). A multi-entry plan must match the mapped model's cell count
+ * exactly — resolve() throws otherwise, naming both counts.
  *
  * Construction validates every entry and the shared knobs (satellite
  * contract: malformed plans throw std::invalid_argument naming the
@@ -110,7 +97,10 @@ struct HardwarePlan
     std::vector<LayerHardwareConfig> layers;
     bool exactApc = false;      ///< shared: exact parallel counter
     double dropFraction = 0.25; ///< shared: APC approximation level
-    /// Shared executor concurrency (same convention as HardwareConfig).
+    /// Shared executor concurrency: 0 (default) shares the process-wide
+    /// pool, shard 0 of util::ShardedExecutorPool (sized from
+    /// SUPERBNN_THREADS / hardware threads when that pool is first
+    /// created), 1 = sequential, N > 1 = a private N-thread pool.
     std::size_t threads = 0;
     /// Shared samples per batched executor pass in evaluate().
     std::size_t evalBatch = 8;
@@ -119,23 +109,21 @@ struct HardwarePlan
     HardwarePlan();
 
     /**
-     * Uniform-plan adapter: broadcast @p config's operating point to
-     * every layer and take its execution knobs.
-     * @throws std::invalid_argument via HardwareConfig::validate
+     * Uniform plan: broadcast @p config's operating point to every
+     * layer and take its execution knobs. Implicit, so a HardwareConfig
+     * passes wherever a plan is expected.
+     * @throws std::invalid_argument via validate()
      */
-    explicit HardwarePlan(const HardwareConfig &config);
+    HardwarePlan(const HardwareConfig &config);
 
     /**
      * Heterogeneous plan: one entry per network cell (hidden layers in
-     * order, head last). @p shared contributes ONLY the execution
-     * knobs (exactApc, dropFraction, threads, evalBatch); its
-     * crossbarSize/window/deltaIinUa are ignored in favor of the
-     * per-layer entries.
-     * @throws std::invalid_argument on an empty entry list, an invalid
-     *         entry, or invalid shared knobs (field-naming message)
+     * order, head last), default execution knobs; set those on the
+     * plan afterwards.
+     * @throws std::invalid_argument on an empty entry list or an
+     *         invalid entry (field-naming message)
      */
-    explicit HardwarePlan(std::vector<LayerHardwareConfig> layer_points,
-                          const HardwareConfig &shared = HardwareConfig{});
+    explicit HardwarePlan(std::vector<LayerHardwareConfig> layer_points);
 
     /** True for a single-entry broadcast plan. */
     bool uniform() const { return layers.size() == 1; }
@@ -154,14 +142,6 @@ struct HardwarePlan
      *         not equal @p cell_count (message carries both counts)
      */
     std::vector<LayerHardwareConfig> resolve(std::size_t cell_count) const;
-
-    /**
-     * Legacy single-config view: entry 0's operating point plus the
-     * shared knobs. Exact for a uniform plan; for a heterogeneous plan
-     * it is only a representative (the first layer's point) — callers
-     * needing per-layer truth must use layers/resolve().
-     */
-    HardwareConfig representative() const;
 };
 
 bool operator==(const HardwarePlan &a, const HardwarePlan &b);

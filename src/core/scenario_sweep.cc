@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 
 namespace superbnn::core {
@@ -123,15 +122,6 @@ wilsonInterval(std::uint64_t successes, std::uint64_t trials, double z)
 
 ScenarioSweep::ScenarioSweep(
     const RandomizedMlp &model, const data::Dataset &dataset,
-    HardwareConfig base_config,
-    std::shared_ptr<crossbar::ProgrammedModelCache> model_cache)
-    : ScenarioSweep(model, dataset, HardwarePlan(base_config),
-                    std::move(model_cache))
-{
-}
-
-ScenarioSweep::ScenarioSweep(
-    const RandomizedMlp &model, const data::Dataset &dataset,
     HardwarePlan base_plan,
     std::shared_ptr<crossbar::ProgrammedModelCache> model_cache)
     : model_(&model), dataset_(&dataset), base(std::move(base_plan)),
@@ -148,10 +138,9 @@ ScenarioSweep::corners(const ScenarioGrid &grid) const
     // grid is the nominal corner.
     const bool config_from_grid = !grid.configs.empty();
     std::vector<ScenarioConfig> configs = grid.configs;
-    if (configs.empty()) {
-        const HardwareConfig repr = base.representative();
-        configs.push_back(ScenarioConfig{repr.crossbarSize, repr.window});
-    }
+    if (configs.empty())
+        configs.push_back(ScenarioConfig{base.layers[0].crossbarSize,
+                                         base.layers[0].window});
     std::vector<aqfp::PowerLawFit> fits = grid.attenuationFits;
     if (fits.empty())
         fits.push_back(cache ? cache->attenuation().fit()

@@ -9,8 +9,8 @@
  * of fabricated chip instances still meets a given accuracy floor? It
  * instantiates many fault-injected chips — each a pure function of
  * (masterSeed, chipIndex) via the counter-based SplitMix64 stream idiom
- * — evaluates each as one task on the shared util::ExecutorPool with
- * per-chip ledger attribution, and reduces to accuracy-vs-yield
+ * — evaluates each as one task on the shared util::ShardedExecutorPool
+ * with per-chip ledger attribution, and reduces to accuracy-vs-yield
  * surfaces: per-corner histograms, yield at configurable accuracy
  * floors with Wilson confidence intervals, and mean/P05/P95 bands.
  *
@@ -64,7 +64,7 @@ struct ScenarioGrid
     std::vector<double> grayZoneScales{1.0};
     /// Attenuation power-law corners; empty = the base model's fit.
     std::vector<aqfp::PowerLawFit> attenuationFits;
-    /// (Cs, L) configurations; empty = the base HardwareConfig's.
+    /// (Cs, L) configurations; empty = the base plan's first entry's.
     std::vector<ScenarioConfig> configs;
 
     /** @throws std::invalid_argument on an empty or out-of-range axis */
@@ -101,8 +101,9 @@ struct SweepOptions
     std::vector<double> accuracyFloors{0.5, 0.7, 0.9};
     /// Histogram bins over accuracy in [0, 1].
     std::size_t histogramBins = 10;
-    /// Chip-task concurrency: 0 = shared util::ExecutorPool,
-    /// 1 = sequential, N > 1 = a private N-thread pool.
+    /// Chip-task concurrency: 0 = striped across the shards of the
+    /// process-wide util::ShardedExecutorPool, 1 = sequential,
+    /// N > 1 = a private N-thread pool.
     std::size_t threads = 0;
     /// Per-chip gray-zone fabrication spread (sigma of the deltaIin
     /// multiplier), on top of the corner's temperature scale.
@@ -192,16 +193,6 @@ std::string toJson(const SweepResult &result);
 class ScenarioSweep
 {
   public:
-    /**
-     * Uniform-base sweep (the legacy API): equivalent to the plan
-     * constructor with HardwarePlan(base), bit-identical results.
-     * @throws std::invalid_argument via HardwareConfig::validate
-     */
-    ScenarioSweep(
-        const RandomizedMlp &model, const data::Dataset &dataset,
-        HardwareConfig base,
-        std::shared_ptr<crossbar::ProgrammedModelCache> cache = nullptr);
-
     /**
      * Per-layer-plan sweep: every chip of every corner is evaluated
      * under @p base's per-layer operating points, with the corner's

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 
 namespace superbnn::crossbar {
@@ -63,10 +62,11 @@ TileExecutor::setThreads(std::size_t threads)
         return;
     }
     if (threads == 0) {
-        // Attach to the process-wide pool. Its size was resolved (from
-        // SUPERBNN_THREADS) when the pool was first created — see
-        // util::ExecutorPool for the resolution-point contract.
-        pool = util::ExecutorPool::shared();
+        // Attach to shard 0 of the process-wide pool. Its size was
+        // resolved (from SUPERBNN_THREADS) when the pool was first
+        // created — see util::ShardedExecutorPool::shared() for the
+        // resolution-point contract.
+        pool = util::ShardedExecutorPool::shared()->shard(0);
         sharedPool = true;
         return;
     }

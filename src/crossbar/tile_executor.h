@@ -11,15 +11,15 @@
  * Execution is threaded and batched. The (rowTile, colTile) tile
  * observations of a forward pass are independent, so they run as
  * parallel tasks on a util::ThreadPool — by default the process-wide
- * shared util::ExecutorPool, so any number of executors reuse one set
- * of worker threads — each writing its streams into its own slot of a
- * preallocated scratch table; the pool's barrier then separates
- * observation from the (also parallel) per-column-group accumulation
- * merge. Determinism does not depend on the thread count: every
- * (sample, tile) task draws from its own counter-based RNG stream
- * (sc::detail::CounterStream) whose 8-byte seed mixes one root draw
- * per sample (taken from the caller's Rng in sample order) with the
- * tile coordinates. Consequences:
+ * shared pool, shard 0 of util::ShardedExecutorPool, so any number of
+ * executors reuse one set of worker threads — each writing its streams
+ * into its own slot of a preallocated scratch table; the pool's
+ * barrier then separates observation from the (also parallel)
+ * per-column-group accumulation merge. Determinism does not depend on
+ * the thread count: every (sample, tile) task draws from its own
+ * counter-based RNG stream (sc::detail::CounterStream) whose 8-byte
+ * seed mixes one root draw per sample (taken from the caller's Rng in
+ * sample order) with the tile coordinates. Consequences:
  *
  *  - any thread count, pool sharing arrangement, and SIMD dispatch arm
  *    produces bit-identical outputs, and
@@ -59,11 +59,12 @@ class TileExecutor
      * @param use_exact_apc  ablation: exact instead of approximate APC
      * @param drop_fraction  APC approximation aggressiveness
      * @param threads        executor concurrency: 0 (default) shares
-     *                       the process-wide util::ExecutorPool (sized
-     *                       from SUPERBNN_THREADS / hardware
-     *                       concurrency when that pool is first
-     *                       created); 1 = sequential; N > 1 = a
-     *                       private pool of N threads
+     *                       the process-wide pool, shard 0 of
+     *                       util::ShardedExecutorPool (sized from
+     *                       SUPERBNN_THREADS / hardware concurrency
+     *                       when that pool is first created);
+     *                       1 = sequential; N > 1 = a private pool of
+     *                       N threads
      */
     explicit TileExecutor(std::size_t window, bool use_exact_apc = false,
                           double drop_fraction = 0.25,
@@ -191,12 +192,12 @@ class TileExecutor
 
     /**
      * Reconfigure concurrency: 1 drops the pool (pure sequential
-     * path); 0 attaches to the process-wide util::ExecutorPool —
-     * acquiring whatever pool exists *at this call*, so a
-     * SUPERBNN_THREADS change after the shared pool was first created
-     * is ignored until util::ExecutorPool::reset() (the documented
-     * resolution point); N > 1 allocates a private N-thread pool.
-     * Outputs are bit-identical across all settings.
+     * path); 0 attaches to shard 0 of the process-wide
+     * util::ShardedExecutorPool — acquiring whatever pool exists *at
+     * this call*, so a SUPERBNN_THREADS change after the shared pool
+     * was first created is ignored until ShardedExecutorPool::reset()
+     * (the documented resolution point); N > 1 allocates a private
+     * N-thread pool. Outputs are bit-identical across all settings.
      */
     void setThreads(std::size_t threads);
 
@@ -214,8 +215,8 @@ class TileExecutor
     std::size_t window_;
     bool useExact;
     double dropFraction;
-    /// The executor's pool — by default the process-wide shared
-    /// ExecutorPool; null = sequential. Sharing is safe: a parallelFor
+    /// The executor's pool — by default shard 0 of the process-wide
+    /// ShardedExecutorPool; null = sequential. Sharing is safe: a parallelFor
     /// issued while another executor's loop is in flight runs inline
     /// rather than racing or blocking (see ThreadPool::parallelFor).
     std::shared_ptr<util::ThreadPool> pool;

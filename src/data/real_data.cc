@@ -70,17 +70,24 @@ parseIdx(const std::string &path, std::size_t expected_dims,
     if (bytes.size() < 4 + 4 * ndims)
         throw std::invalid_argument("real_data: truncated IDX header in "
                                     + path);
+    const std::size_t header = 4 + 4 * ndims;
+    const std::size_t available = bytes.size() - header;
     dims.clear();
     std::size_t payload = 1;
     for (std::size_t d = 0; d < ndims; ++d) {
         dims.push_back(beUint32(bytes, 4 + 4 * d));
+        // Checked before multiplying: the running product never
+        // exceeds the file's length, so it cannot wrap size_t.
+        if (dims.back() != 0 && payload > available / dims.back())
+            throw std::invalid_argument(
+                "real_data: IDX extents in " + path + " exceed its "
+                + std::to_string(available) + "-byte payload");
         payload *= dims.back();
     }
-    const std::size_t header = 4 + 4 * ndims;
-    if (bytes.size() != header + payload)
+    if (available != payload)
         throw std::invalid_argument(
             "real_data: IDX payload size mismatch in " + path + " (have "
-            + std::to_string(bytes.size() - header) + " bytes, want "
+            + std::to_string(available) + " bytes, want "
             + std::to_string(payload) + ")");
     return std::vector<unsigned char>(bytes.begin()
                                           + static_cast<std::ptrdiff_t>(

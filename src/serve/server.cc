@@ -176,6 +176,7 @@ SocketServer::retireConnection(std::uint64_t id, int fd)
 void
 SocketServer::handleConnection(std::uint64_t id, int fd)
 {
+    static const std::string kTooLong = "err line too long\n";
     std::string pending;
     char buf[512];
     bool open = true;
@@ -185,16 +186,29 @@ SocketServer::handleConnection(std::uint64_t id, int fd)
             continue;
         if (n <= 0)
             break; // EOF or hangup
+        // Only the new bytes can hold a newline: what was already
+        // pending was scanned on an earlier read.
+        std::size_t scan = pending.size();
         pending.append(buf, static_cast<std::size_t>(n));
         std::size_t eol;
-        while ((eol = pending.find('\n')) != std::string::npos) {
+        while ((eol = pending.find('\n', scan)) != std::string::npos) {
+            if (eol > kMaxLineBytes) {
+                (void)writeAll(fd, kTooLong);
+                open = false;
+                break;
+            }
             const std::string line = pending.substr(0, eol);
             pending.erase(0, eol + 1);
+            scan = 0;
             const std::string reply = handleLine(line);
             if (reply.empty() || !writeAll(fd, reply)) {
                 open = false;
                 break;
             }
+        }
+        if (open && pending.size() > kMaxLineBytes) {
+            (void)writeAll(fd, kTooLong);
+            open = false;
         }
     }
     retireConnection(id, fd);

@@ -13,6 +13,9 @@
  *     quit
  *         -> (connection closed)
  *
+ * A line longer than kMaxLineBytes (newline excluded) is answered with
+ * `err line too long` and the connection is closed.
+ *
  * Samples are addressed by index into a dataset the server holds
  * read-only; the client supplies the noise seed, so a response is a
  * pure function of (mapped model, sample index, seed) — the same
@@ -46,6 +49,9 @@ namespace superbnn::serve {
 class SocketServer
 {
   public:
+    /// Longest request line accepted, newline excluded.
+    static constexpr std::size_t kMaxLineBytes = 4096;
+
     /**
      * Binds and listens on @p socket_path (an existing stale socket
      * file is removed first) and starts the accept loop.

@@ -1,60 +1,18 @@
 /**
  * @file
- * The process-wide executor thread pool.
- *
- * Every TileExecutor used to own a ThreadPool, so a many-executor
- * sweep (fig11's accuracy surface, the co-optimizer short-list) paid
- * thread spawn + teardown per configuration and oversubscribed the
- * machine when several executors ran at once. ExecutorPool keeps one
- * lazily constructed ThreadPool for the whole process; executors
- * constructed with `threads == 0` (the default) share it.
- *
- * **Resolution point.** The shared pool is created — and
- * SUPERBNN_THREADS is read — the first time shared() is called, and
- * its size is fixed from then on. Changing the environment variable
- * afterwards has no effect on the existing pool; call reset() (tests,
- * embedders) to drop it so the next shared() re-reads the
- * environment. Executors holding the old pool keep it alive until
- * they are reconfigured or destroyed.
- *
- * Since the topology-aware sharding work this class is a facade over
- * util::ShardedExecutorPool: shared() returns shard 0 and reset()
- * drops the whole sharded instance (so SUPERBNN_NUMA / SUPERBNN_PIN
- * are re-read alongside SUPERBNN_THREADS). On single-node hosts or
- * with SUPERBNN_NUMA=off that shard *is* the historical flat pool.
+ * The old name of the process-wide executor pool.
  */
 
 #ifndef SUPERBNN_UTIL_EXECUTOR_POOL_H
 #define SUPERBNN_UTIL_EXECUTOR_POOL_H
 
-#include <memory>
-
-#include "util/thread_pool.h"
+#include "util/sharded_executor_pool.h"
 
 namespace superbnn::util {
 
-/** Owner of the process-wide shared ThreadPool. */
-class ExecutorPool
-{
-  public:
-    /**
-     * The shared pool, created on first call with
-     * ThreadPool::defaultThreadCount() threads (SUPERBNN_THREADS is
-     * read at that moment — the resolution point). Never null; a
-     * 1-thread pool simply runs every loop inline. Thread-safe.
-     */
-    static std::shared_ptr<ThreadPool> shared();
-
-    /**
-     * Drop the current shared pool so the next shared() constructs a
-     * fresh one (re-reading SUPERBNN_THREADS). Holders of the old
-     * pool are unaffected — shared_ptr keeps it alive until they let
-     * go. Thread-safe, but callers must not race reset() against
-     * executors *acquiring* the pool if they need those executors on
-     * the new one.
-     */
-    static void reset();
-};
+// Kept only because perfbench/ spells this name and must compile
+// unchanged; new code uses ShardedExecutorPool.
+using ExecutorPool = ShardedExecutorPool;
 
 } // namespace superbnn::util
 

@@ -2,16 +2,21 @@
  * @file
  * Topology-aware sharding of the process-wide executor pool.
  *
- * The flat ExecutorPool runs every task on one ThreadPool whose
- * workers migrate freely across sockets, so on multi-node hosts a
- * tile buffer allocated on node 0 is routinely consumed on node 1.
- * ShardedExecutorPool keeps one ThreadPool *per NUMA node* (a
- * "shard"), optionally pins each shard's workers to its node's CPUs,
- * and offers parallelForSharded() — a round-robin striping of loop
- * indices across shards so (corner, chip) and candidate sweeps spread
- * node-locally. Consumers that serve requests (InferenceService)
- * instead bind a thread to a shard with ShardBinding and run a whole
- * sub-batch there.
+ * The process keeps one lazily constructed pool, and executors
+ * constructed with `threads == 0` (the default) share its shard 0, so
+ * a many-executor sweep neither pays thread spawn + teardown per
+ * configuration nor oversubscribes the machine when several executors
+ * run at once.
+ *
+ * A single flat pool's workers would migrate freely across sockets,
+ * so on multi-node hosts a tile buffer allocated on node 0 would
+ * routinely be consumed on node 1. ShardedExecutorPool therefore
+ * keeps one ThreadPool *per NUMA node* (a "shard"), optionally pins
+ * each shard's workers to its node's CPUs, and offers
+ * parallelForSharded() — a round-robin striping of loop indices across
+ * shards so (corner, chip) and candidate sweeps spread node-locally.
+ * Consumers that serve requests (InferenceService) instead bind a
+ * thread to a shard with ShardBinding and run a whole sub-batch there.
  *
  * **Knobs** (resolved at first shared() call, warn-once on invalid,
  * re-read after reset()):
@@ -75,7 +80,9 @@ class ShardedExecutorPool
      * Drop the current shared instance so the next shared() re-reads
      * the environment and re-detects the topology. Holders of the old
      * instance (or of its shard pools) keep it alive until they let
-     * go; same caveats as ExecutorPool::reset().
+     * go. Thread-safe, but callers must not race reset() against
+     * executors *acquiring* the pool if they need those executors on
+     * the new one.
      */
     static void reset();
 

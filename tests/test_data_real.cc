@@ -9,8 +9,8 @@
  * of image i is row-major {10 i + 1, 2, 3, 4, 5, 255};
  * tiny-labels-idx1-ubyte holds labels {0, 1, 2, 3}; tiny-cifar.bin
  * holds two 3073-byte records with labels {3, 7} and pixel bytes
- * (7 p) mod 256. Each bad-/truncated- variant corrupts exactly one
- * aspect.
+ * (7 p) mod 256. Each bad-/truncated-/overflow- variant corrupts
+ * exactly one aspect.
  */
 
 #include <cstdlib>
@@ -119,6 +119,16 @@ TEST(IdxLoaderTest, TruncatedHeaderThrows)
 TEST(IdxLoaderTest, TruncatedPayloadThrows)
 {
     EXPECT_THROW(loadIdxDataset(fixture("truncated-payload-idx3-ubyte"),
+                                kTinyLabels),
+                 std::invalid_argument);
+}
+
+TEST(IdxLoaderTest, OverflowingExtentsThrow)
+{
+    // Header-only file claiming 4 x 2^31 x 2^31 images: the extent
+    // product wraps size_t to 0, which matched the empty payload and
+    // sent a 2^62-pixel image into the loader.
+    EXPECT_THROW(loadIdxDataset(fixture("overflow-extent-idx3-ubyte"),
                                 kTinyLabels),
                  std::invalid_argument);
 }

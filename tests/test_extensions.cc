@@ -235,9 +235,11 @@ TEST(Robustness, ModerateVariationDegradesGracefully)
     core::RandomizedMlp mlp(64, {32}, 10,
                             core::AqfpBehavior{16, 2.4, 0.0}, atten,
                             rng);
-    core::HardwareEvaluator clean(atten, {16, 8, 2.4});
+    core::HardwareEvaluator clean(atten,
+                                  core::HardwareConfig{16, 8, 2.4});
     clean.mapMlp(mlp);
-    core::HardwareEvaluator noisy(atten, {16, 8, 2.4});
+    core::HardwareEvaluator noisy(atten,
+                                  core::HardwareConfig{16, 8, 2.4});
     noisy.mapMlp(mlp);
     const std::size_t stuck = noisy.injectVariationSeeded(0.1, 0.01, 17, 0);
     EXPECT_GT(stuck, 0u);

@@ -78,7 +78,8 @@ TEST_F(TrainedMlpTest, SoftwareModelLearned)
 
 TEST_F(TrainedMlpTest, MappingProducesExpectedTileCount)
 {
-    HardwareEvaluator eval(*attenModel, {16, 8, 2.4, false, 0.5});
+    HardwareEvaluator eval(*attenModel,
+                           HardwareConfig{16, 8, 2.4, false, 0.5});
     eval.mapMlp(*model);
     // Layer1: ceil(784/16) x ceil(64/16) = 49*4 = 196;
     // head: ceil(64/16) x ceil(10/16) = 4.
@@ -90,7 +91,8 @@ TEST_F(TrainedMlpTest, HardwareTracksSoftwareAccuracy)
     // With the exact parallel counter, the hardware function is the
     // same statistic the tile-aware training optimized, so accuracy
     // must track the software model closely.
-    HardwareEvaluator eval(*attenModel, {16, 16, 2.4, true, 0.0});
+    HardwareEvaluator eval(*attenModel,
+                           HardwareConfig{16, 16, 2.4, true, 0.0});
     eval.mapMlp(*model);
     Rng eval_rng(7);
     const double hw_acc =
@@ -105,7 +107,8 @@ TEST_F(TrainedMlpTest, ApproxApcCostsBoundedAccuracy)
     // The approximate APC keeps a residual data-dependent bias after
     // reference calibration; the paper's claim is that the cost is
     // small. Allow a moderate envelope.
-    HardwareEvaluator eval(*attenModel, {16, 16, 2.4, false, 0.5});
+    HardwareEvaluator eval(*attenModel,
+                           HardwareConfig{16, 16, 2.4, false, 0.5});
     eval.mapMlp(*model);
     Rng eval_rng(7);
     const double hw_acc =
@@ -119,11 +122,13 @@ TEST_F(TrainedMlpTest, LongerWindowNotWorse)
 {
     // Fig. 10 mechanism: accuracy improves (or saturates) with L.
     Rng eval_rng(8);
-    HardwareEvaluator short_eval(*attenModel, {16, 1, 2.4, false, 0.5});
+    HardwareEvaluator short_eval(*attenModel,
+                                 HardwareConfig{16, 1, 2.4, false, 0.5});
     short_eval.mapMlp(*model);
     const double acc_short =
         short_eval.evaluate(dataset->test, 120, eval_rng);
-    HardwareEvaluator long_eval(*attenModel, {16, 32, 2.4, false, 0.5});
+    HardwareEvaluator long_eval(*attenModel,
+                                HardwareConfig{16, 32, 2.4, false, 0.5});
     long_eval.mapMlp(*model);
     const double acc_long =
         long_eval.evaluate(dataset->test, 120, eval_rng);
@@ -132,7 +137,8 @@ TEST_F(TrainedMlpTest, LongerWindowNotWorse)
 
 TEST_F(TrainedMlpTest, PredictIsWithinClassRange)
 {
-    HardwareEvaluator eval(*attenModel, {16, 4, 2.4, false, 0.5});
+    HardwareEvaluator eval(*attenModel,
+                           HardwareConfig{16, 4, 2.4, false, 0.5});
     eval.mapMlp(*model);
     std::vector<Tensor> samples;
     std::vector<std::uint64_t> seeds;
@@ -146,7 +152,8 @@ TEST_F(TrainedMlpTest, PredictIsWithinClassRange)
 
 TEST_F(TrainedMlpTest, ClassScoresHaveTenEntries)
 {
-    HardwareEvaluator eval(*attenModel, {16, 4, 2.4, false, 0.5});
+    HardwareEvaluator eval(*attenModel,
+                           HardwareConfig{16, 4, 2.4, false, 0.5});
     eval.mapMlp(*model);
     const auto scores =
         eval.classScoresSeeded({dataset->test.sample(0)}, {10});
@@ -157,11 +164,13 @@ TEST_F(TrainedMlpTest, ClassScoresHaveTenEntries)
 TEST_F(TrainedMlpTest, ExactApcAtLeastAsGoodOnAverage)
 {
     Rng eval_rng(11);
-    HardwareEvaluator approx(*attenModel, {16, 8, 2.4, false, 0.5});
+    HardwareEvaluator approx(*attenModel,
+                             HardwareConfig{16, 8, 2.4, false, 0.5});
     approx.mapMlp(*model);
     const double acc_approx =
         approx.evaluate(dataset->test, 100, eval_rng);
-    HardwareEvaluator exact(*attenModel, {16, 8, 2.4, true, 0.0});
+    HardwareEvaluator exact(*attenModel,
+                            HardwareConfig{16, 8, 2.4, true, 0.0});
     exact.mapMlp(*model);
     const double acc_exact =
         exact.evaluate(dataset->test, 100, eval_rng);
@@ -180,7 +189,7 @@ TEST(HardwareEvalCnn, SmokeTestOnTinyCnn)
     ccfg.poolAfter = {true};
     RandomizedCnn cnn(ccfg, AqfpBehavior{16, 2.4, 0.0}, atten, rng);
 
-    HardwareEvaluator eval(atten, {16, 2, 2.4, false, 0.5});
+    HardwareEvaluator eval(atten, HardwareConfig{16, 2, 2.4, false, 0.5});
     eval.mapCnn(cnn);
     EXPECT_GT(eval.totalCrossbars(), 0u);
 
@@ -193,7 +202,7 @@ TEST(HardwareEvalCnn, SmokeTestOnTinyCnn)
 TEST(HardwareEvalConfig, StoredAndExposed)
 {
     const aqfp::AttenuationModel atten;
-    HardwareEvaluator eval(atten, {36, 8, 1.6, true, 0.25});
+    HardwareEvaluator eval(atten, HardwareConfig{36, 8, 1.6, true, 0.25});
     ASSERT_EQ(eval.plan().layers.size(), 1u);
     EXPECT_EQ(eval.plan().layers[0].crossbarSize, 36u);
     EXPECT_EQ(eval.plan().layers[0].window, 8u);
@@ -204,7 +213,8 @@ TEST(HardwareEvalConfig, StoredAndExposed)
 TEST(HardwareEvalUnmapped, ScoringThrowsInsteadOfIndexingNothing)
 {
     const aqfp::AttenuationModel atten;
-    const HardwareEvaluator eval(atten, {16, 4, 2.4, false, 0.5});
+    const HardwareEvaluator eval(atten,
+                                 HardwareConfig{16, 4, 2.4, false, 0.5});
     const Tensor sample({1, 16}, 0.5f);
     EXPECT_THROW(eval.classScoresSeeded({sample}, {1}), std::logic_error);
     EXPECT_THROW(eval.predictSeeded({sample}, {1}), std::logic_error);

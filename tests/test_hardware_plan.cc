@@ -1,14 +1,13 @@
 /**
  * @file
  * Per-layer HardwarePlan contract tests: construction validation
- * (field-naming std::invalid_argument instead of downstream UB), the
- * uniform-plan adapter's bit-exactness against the legacy single-config
- * path, heterogeneous determinism across thread counts and SIMD arms,
- * per-layer ledger draw accounting (Cs_l * L_l per tile observation),
- * named-cache sharing across plans differing in one layer, and the
- * explorer's coordinate-descent guarantee that a plan never costs more
- * than its homogeneous seed (strictly less on the autotune MNIST
- * space — the bench's headline delta).
+ * (field-naming std::invalid_argument instead of downstream UB),
+ * uniform-plan broadcast, heterogeneous determinism across thread
+ * counts and SIMD arms, per-layer ledger draw accounting (Cs_l * L_l
+ * per tile observation), named-cache sharing across plans differing in
+ * one layer, and the explorer's coordinate-descent guarantee that a
+ * plan never costs more than its homogeneous seed (strictly less on
+ * the autotune MNIST space — the bench's headline delta).
  */
 
 #include <cstdint>
@@ -24,7 +23,6 @@
 #include "core/explorer.h"
 #include "core/hardware_eval.h"
 #include "core/models.h"
-#include "core/scenario_sweep.h"
 #include "crossbar/model_cache.h"
 #include "simd_test_util.h"
 #include "tensor/random.h"
@@ -81,13 +79,13 @@ mixedPlan()
 TEST(HardwarePlanValidation, ConfigFieldsThrowByName)
 {
     HardwareConfig cfg;
-    EXPECT_NO_THROW(cfg.validate());
+    EXPECT_NO_THROW(HardwarePlan{cfg});
 
     cfg.crossbarSize = 0;
     EXPECT_THROW(
         {
             try {
-                cfg.validate();
+                HardwarePlan{cfg};
             } catch (const std::invalid_argument &e) {
                 EXPECT_NE(std::string(e.what()).find("crossbarSize"),
                           std::string::npos);
@@ -101,7 +99,7 @@ TEST(HardwarePlanValidation, ConfigFieldsThrowByName)
     EXPECT_THROW(
         {
             try {
-                cfg.validate();
+                HardwarePlan{cfg};
             } catch (const std::invalid_argument &e) {
                 EXPECT_NE(std::string(e.what()).find("window"),
                           std::string::npos);
@@ -115,7 +113,7 @@ TEST(HardwarePlanValidation, ConfigFieldsThrowByName)
     EXPECT_THROW(
         {
             try {
-                cfg.validate();
+                HardwarePlan{cfg};
             } catch (const std::invalid_argument &e) {
                 EXPECT_NE(std::string(e.what()).find("evalBatch"),
                           std::string::npos);
@@ -132,7 +130,7 @@ TEST(HardwarePlanValidation, ConfigFieldsThrowByName)
         EXPECT_THROW(
             {
                 try {
-                    cfg.validate();
+                    HardwarePlan{cfg};
                 } catch (const std::invalid_argument &e) {
                     EXPECT_NE(
                         std::string(e.what()).find("deltaIinUa"),
@@ -172,13 +170,10 @@ TEST(HardwarePlanValidation, PlanConstructionValidates)
             }
         },
         std::invalid_argument);
-    // Invalid shared knob from the shared config.
-    HardwareConfig shared;
-    shared.evalBatch = 0;
-    EXPECT_THROW(HardwarePlan(
-                     std::vector<LayerHardwareConfig>{{16, 8, 2.4}},
-                     shared),
-                 std::invalid_argument);
+    // Invalid shared knob set on the plan.
+    HardwarePlan plan(std::vector<LayerHardwareConfig>{{16, 8, 2.4}});
+    plan.evalBatch = 0;
+    EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 
 TEST(HardwarePlanValidation, ResolveBroadcastsAndMatchesExactly)
@@ -212,57 +207,6 @@ TEST(HardwarePlanValidation, ResolveBroadcastsAndMatchesExactly)
         {8, 4, 1.6}, {16, 8, 2.4}});
     HardwareEvaluator eval(aqfp::AttenuationModel(), two);
     EXPECT_THROW(eval.mapMlp(mlp), std::invalid_argument);
-}
-
-TEST(HardwarePlanValidation, RepresentativeIsEntryZeroPlusKnobs)
-{
-    HardwarePlan plan = mixedPlan();
-    plan.evalBatch = 5;
-    plan.threads = 1;
-    const HardwareConfig repr = plan.representative();
-    EXPECT_EQ(repr.crossbarSize, 8u);
-    EXPECT_EQ(repr.window, 4u);
-    EXPECT_EQ(repr.deltaIinUa, 1.6);
-    EXPECT_EQ(repr.evalBatch, 5u);
-    EXPECT_EQ(repr.threads, 1u);
-}
-
-TEST(HardwarePlanUniform, BitIdenticalToLegacyConfigPath)
-{
-    const RandomizedMlp mlp = testMlp();
-    const HardwareConfig cfg{16, 8, 2.4, false, 0.25, 0, 8};
-    const std::vector<Tensor> batch = testBatch(4);
-    const std::vector<std::uint64_t> seeds = testSeeds(4);
-
-    HardwareEvaluator legacy(aqfp::AttenuationModel(), cfg);
-    legacy.mapMlp(mlp);
-    HardwareEvaluator uniform{aqfp::AttenuationModel(),
-                              HardwarePlan(cfg)};
-    uniform.mapMlp(mlp);
-
-    // Scores: bit-exact.
-    EXPECT_EQ(legacy.classScoresSeeded(batch, seeds),
-              uniform.classScoresSeeded(batch, seeds));
-
-    // Ledger counts: identical observed activity.
-    EXPECT_EQ(aqfp::toJson(legacy.totalLedgerCounts()),
-              aqfp::toJson(uniform.totalLedgerCounts()));
-
-    // Energy reports: every measured/analytic component bit-exact.
-    const auto lrep = legacy.energyReports();
-    const auto urep = uniform.energyReports();
-    ASSERT_EQ(lrep.size(), urep.size());
-    for (std::size_t i = 0; i < lrep.size(); ++i) {
-        EXPECT_EQ(lrep[i].name, urep[i].name);
-        EXPECT_EQ(lrep[i].measuredValid, urep[i].measuredValid);
-        EXPECT_EQ(lrep[i].measured.totalEnergyAj,
-                  urep[i].measured.totalEnergyAj);
-        EXPECT_EQ(lrep[i].measured.cyclesPerImage,
-                  urep[i].measured.cyclesPerImage);
-        EXPECT_EQ(lrep[i].analytic.totalEnergyAj,
-                  urep[i].analytic.totalEnergyAj);
-        EXPECT_EQ(lrep[i].analytic.totalJj, urep[i].analytic.totalJj);
-    }
 }
 
 TEST(HardwarePlanDeterminism, MixedPlanStableAcrossThreadsAndArms)
@@ -373,33 +317,6 @@ TEST(HardwarePlanCache, PlansDifferingInOneLayerShareTheRest)
     const std::vector<std::uint64_t> seeds = testSeeds(3);
     EXPECT_EQ(direct.classScoresSeeded(batch, seeds),
               eval_b.classScoresSeeded(batch, seeds));
-}
-
-TEST(HardwarePlanSweep, UniformPlanSweepMatchesLegacyConfigSweep)
-{
-    // A scaled-down sweep through both constructors must produce
-    // byte-identical surfaces (the uniform-adapter contract at the
-    // ScenarioSweep layer).
-    const RandomizedMlp mlp = testMlp();
-    data::Dataset tiny;
-    tiny.samples = Tensor({6, 48});
-    Rng data_rng(41);
-    for (std::size_t i = 0; i < tiny.samples.size(); ++i)
-        tiny.samples[i] = data_rng.bernoulli(0.5) ? 1.0f : -1.0f;
-    tiny.labels.assign(6, 0);
-
-    const HardwareConfig base{16, 8, 2.4, false, 0.25, 1, 8};
-    ScenarioGrid grid;
-    grid.stuckFractions = {0.0, 0.2};
-    SweepOptions opts;
-    opts.chipsPerCorner = 3;
-    opts.evalSamples = 6;
-    opts.threads = 1;
-
-    const ScenarioSweep legacy(mlp, tiny, base);
-    const ScenarioSweep plan(mlp, tiny, HardwarePlan(base));
-    EXPECT_EQ(toJson(legacy.run(grid, opts)),
-              toJson(plan.run(grid, opts)));
 }
 
 TEST(HardwarePlanExplorer, DescentNeverWorseThanSeedAndBeatsItOnMnist)

@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -196,7 +198,7 @@ TEST(ClassScoresSeeded, BatchedEqualsSinglesForCnn)
     const RandomizedCnn cnn(cfg, AqfpBehavior{8, 2.4, 0.0},
                             aqfp::AttenuationModel(), rng);
     HardwareEvaluator eval(aqfp::AttenuationModel(),
-                           {8, 8, 2.4, false, 0.25, 1, 8});
+                           HardwareConfig{8, 8, 2.4, false, 0.25, 1, 8});
     eval.mapCnn(cnn);
 
     std::vector<Tensor> samples;
@@ -729,6 +731,63 @@ TEST(SocketServer, ClientHangupMidReplySurvives)
     buf[n] = '\0';
     EXPECT_EQ(std::string(buf).rfind("ok ", 0), 0u) << buf;
     (void)::write(fd, "quit\n", 5);
+    ::close(fd);
+    server.stop();
+    service.stop();
+}
+
+TEST(SocketServer, OverlongLineIsRefusedAndClosed)
+{
+    // Regression: a client streaming bytes with no newline grew the
+    // handler's buffer without bound and rescanned all of it on every
+    // read. Lines are now capped: past the cap the server replies
+    // "err line too long" and hangs up.
+    const auto eval = makeMlpEvaluator();
+    data::Dataset dataset;
+    dataset.samples = Tensor(Shape{2, 32});
+    dataset.labels = {0, 1};
+    for (std::size_t i = 0; i < dataset.samples.size(); ++i)
+        dataset.samples[i] = hashedFloat(i);
+
+    InferenceService service(*eval, quickConfig());
+    const std::string path = "/tmp/superbnn-longline-test.sock";
+    SocketServer server(service, dataset, path);
+
+    const int fd = connectUnix(path);
+    // Fail instead of hanging if the server never answers.
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    // The server may hang up mid-stream, so send without SIGPIPE and
+    // stop at the first error.
+    const std::string flood(64 * 1024, 'x');
+    std::size_t sent = 0;
+    while (sent < flood.size()) {
+        const ssize_t n = ::send(fd, flood.data() + sent,
+                                 flood.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<std::size_t>(n);
+    }
+
+    const std::string want = "err line too long\n";
+    std::string reply;
+    char buf[64];
+    while (reply.size() < want.size()) {
+        const ssize_t n = ::read(fd, buf, sizeof(buf));
+        ASSERT_GT(n, 0) << "no reply; got \"" << reply << "\"";
+        reply.append(buf, static_cast<std::size_t>(n));
+    }
+    EXPECT_EQ(reply, want);
+    // Then end of stream. A Unix socket closed with unread bytes still
+    // queued reports that as ECONNRESET, which is a hangup all the same.
+    const ssize_t end = ::read(fd, buf, sizeof(buf));
+    EXPECT_TRUE(end == 0 || (end < 0 && errno == ECONNRESET))
+        << "read returned " << end << ", errno " << errno;
+    EXPECT_TRUE(waitForLiveConnections(server, 0));
+
     ::close(fd);
     server.stop();
     service.stop();

@@ -27,7 +27,6 @@
 #include "serve/inference_service.h"
 #include "util/cpu_topology.h"
 #include "util/env.h"
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 #include "yield_surface_util.h"
 
@@ -308,8 +307,6 @@ TEST_F(ShardedPoolEnvTest, NumaOffForcesOneShard)
     const auto pool = ShardedExecutorPool::shared();
     EXPECT_EQ(pool->shardCount(), 1u);
     EXPECT_EQ(pool->threadCount(), 4u);
-    // The flat facade hands out shard 0 of the same instance.
-    EXPECT_EQ(ExecutorPool::shared().get(), pool->shard(0).get());
 }
 
 TEST_F(ShardedPoolEnvTest, NumaAutoFollowsDetectedTopology)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the threaded, batched tile-execution path: the thread pool
  * itself (including cross-pool nesting and the chunked scheduler), the
- * process-wide ExecutorPool and its SUPERBNN_THREADS resolution point,
+ * process-wide shared pool and its SUPERBNN_THREADS resolution point,
  * the BitstreamBatch packing, the counter-based batched crossbar
  * observe, and the executor's two exactness contracts — bit-identical
  * outputs at any thread count, and batch-of-N identical to N
@@ -14,8 +14,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 
@@ -27,7 +30,7 @@
 #include "nn/sequential.h"
 #include "sc/accumulation.h"
 #include "sc/bitstream_batch.h"
-#include "util/executor_pool.h"
+#include "util/sharded_executor_pool.h"
 #include "util/thread_pool.h"
 
 using namespace superbnn;
@@ -203,19 +206,57 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv)
 
 // --- process-wide executor pool ---
 
-TEST(ExecutorPoolTest, SharedPoolIsProcessWideAndPinnedAtFirstUse)
+/**
+ * Pins SUPERBNN_NUMA=off so the shared pool is one shard whatever the
+ * host topology or caller environment, saving and restoring it and
+ * SUPERBNN_THREADS around each test.
+ */
+class ExecutorPoolTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        save("SUPERBNN_NUMA");
+        save("SUPERBNN_THREADS");
+        setenv("SUPERBNN_NUMA", "off", 1);
+        util::ShardedExecutorPool::reset();
+    }
+
+    void TearDown() override
+    {
+        for (const auto &kv : saved_) {
+            if (kv.second.first)
+                setenv(kv.first.c_str(), kv.second.second.c_str(), 1);
+            else
+                unsetenv(kv.first.c_str());
+        }
+        util::ShardedExecutorPool::reset();
+    }
+
+  private:
+    void save(const char *name)
+    {
+        const char *v = std::getenv(name);
+        saved_[name] = {v != nullptr, v ? v : ""};
+    }
+
+    std::map<std::string, std::pair<bool, std::string>> saved_;
+};
+
+TEST_F(ExecutorPoolTest, SharedPoolIsProcessWideAndPinnedAtFirstUse)
 {
     setenv("SUPERBNN_THREADS", "3", 1);
-    util::ExecutorPool::reset();
-    const auto a = util::ExecutorPool::shared();
-    const auto b = util::ExecutorPool::shared();
+    util::ShardedExecutorPool::reset();
+    const auto a = util::ShardedExecutorPool::shared()->shard(0);
+    const auto b = util::ShardedExecutorPool::shared()->shard(0);
     EXPECT_EQ(a.get(), b.get()); // one pool for the whole process
     EXPECT_EQ(a->threadCount(), 3u);
 
     // Resolution point: SUPERBNN_THREADS was read when the pool was
     // first created; changing it afterwards is ignored...
     setenv("SUPERBNN_THREADS", "5", 1);
-    EXPECT_EQ(util::ExecutorPool::shared()->threadCount(), 3u);
+    EXPECT_EQ(util::ShardedExecutorPool::shared()->shard(0)->threadCount(),
+              3u);
     // ...including by executors attaching later with threads == 0.
     TileExecutor exec(8);
     EXPECT_EQ(exec.threads(), 3u);
@@ -223,35 +264,31 @@ TEST(ExecutorPoolTest, SharedPoolIsProcessWideAndPinnedAtFirstUse)
     // reset() drops the pool; the next shared() re-reads the
     // environment. Executors holding the old pool keep it until they
     // are reconfigured.
-    util::ExecutorPool::reset();
-    EXPECT_EQ(util::ExecutorPool::shared()->threadCount(), 5u);
+    util::ShardedExecutorPool::reset();
+    EXPECT_EQ(util::ShardedExecutorPool::shared()->shard(0)->threadCount(),
+              5u);
     EXPECT_EQ(exec.threads(), 3u);
     exec.setThreads(0);
     EXPECT_EQ(exec.threads(), 5u);
-
-    unsetenv("SUPERBNN_THREADS");
-    util::ExecutorPool::reset();
 }
 
-TEST(ExecutorPoolTest, ExplicitThreadCountsBypassTheSharedPool)
+TEST_F(ExecutorPoolTest, ExplicitThreadCountsBypassTheSharedPool)
 {
     setenv("SUPERBNN_THREADS", "3", 1);
-    util::ExecutorPool::reset();
+    util::ShardedExecutorPool::reset();
     TileExecutor exec(8, false, 0.25, 4);
     EXPECT_EQ(exec.threads(), 4u); // private pool, env ignored
     exec.setThreads(1);
     EXPECT_EQ(exec.threads(), 1u); // sequential, no pool at all
-    unsetenv("SUPERBNN_THREADS");
-    util::ExecutorPool::reset();
 }
 
-TEST(ExecutorPoolTest, SharedPoolRunsExecutorsCorrectly)
+TEST_F(ExecutorPoolTest, SharedPoolRunsExecutorsCorrectly)
 {
     // A forward through the shared pool must match the sequential
     // reference bit for bit (the thread-count invariance contract,
     // exercised specifically on the default shared-pool path).
     setenv("SUPERBNN_THREADS", "4", 1);
-    util::ExecutorPool::reset();
+    util::ShardedExecutorPool::reset();
     Rng setup(47);
     const MappedLayer layer = makeLayer(setup);
     const std::vector<int> acts = randomActs(24, setup);
@@ -262,8 +299,6 @@ TEST(ExecutorPoolTest, SharedPoolRunsExecutorsCorrectly)
     ASSERT_EQ(exec.threads(), 4u);
     Rng rng(55);
     EXPECT_EQ(exec.forward(layer, acts, rng), ref);
-    unsetenv("SUPERBNN_THREADS");
-    util::ExecutorPool::reset();
 }
 
 // --- BitstreamBatch ---
@@ -634,7 +669,7 @@ TEST(ThreadedExecutorTest, LedgerTotalsSurviveThreadReconfiguration)
         exec.forward(layer, batch, rng, &ledger);
         EXPECT_EQ(ledger.totals(), ref);
     }
-    exec.setThreads(0); // shared ExecutorPool
+    exec.setThreads(0); // shared pool
     {
         aqfp::HardwareLedger ledger;
         Rng rng(12);
