@@ -28,10 +28,12 @@
 #include "core/models.h"
 #include "crossbar/mapper.h"
 #include "crossbar/tile_executor.h"
+#include "energy_ledger_util.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
 
 using namespace superbnn;
+using energy_ledger_util::drawRoots;
 
 namespace {
 
@@ -67,9 +69,13 @@ main()
     // threads = 0: the shared pool, sized by SUPERBNN_THREADS.
     const crossbar::TileExecutor exec(16, false, 0.25, 0);
 
+    // One root per sample and layer from one stream: layer 1's six,
+    // then layer 2's six.
     Rng rng(11);
-    const auto hidden = exec.forward(l1, batch, rng);
-    const auto scores = exec.forwardDecoded(l2, hidden, rng);
+    const auto hidden =
+        exec.forwardSeeded(l1, batch, drawRoots(rng, batch.size()));
+    const auto scores = exec.forwardDecodedSeeded(
+        l2, hidden, drawRoots(rng, hidden.size()));
 
     std::uint64_t fnv = 1469598103934665603ULL;
     for (std::size_t b = 0; b < hidden.size(); ++b) {

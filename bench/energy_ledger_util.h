@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the energy-ledger benches and their golden-file
- * regression test: geometry-only mapped layers, single-position ledger
- * replay of a LayerSpec, and the deterministic probe JSON. The
+ * regression test: per-sample root draws, geometry-only mapped layers,
+ * single-position ledger replay of a LayerSpec, and the deterministic
+ * probe JSON. The
  * energy_probe bench and tests/test_energy_ledger.cc both emit their
  * JSON through this header, so the bytes CI diffs across thread counts
  * and SIMD arms are produced by exactly one code path.
@@ -12,6 +13,7 @@
 #define SUPERBNN_BENCH_ENERGY_LEDGER_UTIL_H
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,20 @@ geometryLayer(std::size_t fan_in, std::size_t fan_out, std::size_t cs,
 }
 
 /**
+ * Root seeds for TileExecutor::forwardSeeded: one raw draw from
+ * @p rng per sample, in sample order. The probe workloads, the benches
+ * and the executor tests seed their batches through it.
+ */
+inline std::vector<std::uint64_t>
+drawRoots(Rng &rng, std::size_t samples)
+{
+    std::vector<std::uint64_t> roots(samples);
+    for (auto &r : roots)
+        r = rng.raw()();
+    return roots;
+}
+
+/**
  * Observed ledger counts for one execution of @p layer on a single
  * input position. A LayerSpec with P spatial positions runs P
  * identical passes, so pricing scales these counts by P via
@@ -51,9 +67,8 @@ measureSinglePosition(const crossbar::TileExecutor &exec,
                       const crossbar::MappedLayer &layer)
 {
     aqfp::HardwareLedger ledger;
-    Rng rng(1);
     const std::vector<int> acts(layer.fanIn, 1);
-    exec.forward(layer, acts, rng, &ledger);
+    exec.forwardSeeded(layer, {acts}, {Rng(1).raw()()}, &ledger);
     return ledger.totals();
 }
 
@@ -71,8 +86,8 @@ replayContext(const aqfp::LayerSpec &spec,
 
 /**
  * The fixed probe workload (two geometry layers at Cs = 16, window 16,
- * a 6-sample batch through forward + forwardDecoded on the default
- * shared-pool executor), measured, priced and reconciled, as
+ * a 6-sample batch through forwardSeeded + forwardDecodedSeeded on
+ * the default shared-pool executor), measured, priced and reconciled, as
  * deterministic JSON. Nothing timing- or environment-dependent is
  * emitted: the bytes must be identical for every SUPERBNN_THREADS
  * value and every SUPERBNN_SIMD arm.
@@ -99,11 +114,12 @@ energyProbeJson()
 
     aqfp::HardwareLedger led1, led2;
     Rng rng(11);
-    const auto hidden = exec.forward(l1, batch, rng, &led1);
+    const auto hidden =
+        exec.forwardSeeded(l1, batch, drawRoots(rng, 6), &led1);
     std::vector<std::vector<int>> mid(hidden.size());
     for (std::size_t b = 0; b < hidden.size(); ++b)
         mid[b].assign(hidden[b].begin(), hidden[b].begin() + 48);
-    (void)exec.forwardDecoded(l2, mid, rng, &led2);
+    (void)exec.forwardDecodedSeeded(l2, mid, drawRoots(rng, 6), &led2);
 
     const aqfp::EnergyModel model;
     const std::size_t max_act_bits = 48;

@@ -22,6 +22,7 @@
 #include "aqfp/grayzone.h"
 #include "crossbar/mapper.h"
 #include "crossbar/tile_executor.h"
+#include "energy_ledger_util.h"
 #include "sc/accumulation.h"
 #include "sc/bitstream.h"
 #include "simd/kernels.h"
@@ -29,6 +30,7 @@
 #include "util/sharded_executor_pool.h"
 
 using namespace superbnn;
+using energy_ledger_util::drawRoots;
 
 namespace {
 
@@ -128,7 +130,8 @@ BM_TileExecutorForward(benchmark::State &state)
     for (auto &a : acts)
         a = rng.bernoulli(0.5) ? 1 : -1;
     for (auto _ : state)
-        benchmark::DoNotOptimize(exec.forward(layer, acts, rng));
+        benchmark::DoNotOptimize(
+            exec.forwardSeeded(layer, {acts}, {rng.raw()()}));
 }
 BENCHMARK(BM_TileExecutorForward)->Arg(1)->Arg(8)->Arg(32);
 
@@ -155,7 +158,7 @@ BM_TileExecutorForwardLedger(benchmark::State &state)
     aqfp::HardwareLedger ledger;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            exec.forward(layer, acts, rng, &ledger));
+            exec.forwardSeeded(layer, {acts}, {rng.raw()()}, &ledger));
 }
 BENCHMARK(BM_TileExecutorForwardLedger);
 
@@ -182,7 +185,8 @@ BM_TileExecutorForwardBatch(benchmark::State &state)
         for (auto &a : sample)
             a = rng.bernoulli(0.5) ? 1 : -1;
     for (auto _ : state)
-        benchmark::DoNotOptimize(exec.forward(layer, batch, rng));
+        benchmark::DoNotOptimize(
+            exec.forwardSeeded(layer, batch, drawRoots(rng, batch_size)));
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations())
         * static_cast<std::int64_t>(batch_size));
@@ -470,7 +474,8 @@ reportExecutorPoolReuse()
             crossbar::TileExecutor exec(
                 16, false, 0.25,
                 shared ? 0 : pool_threads);
-            benchmark::DoNotOptimize(exec.forward(layer, acts, fwd));
+            benchmark::DoNotOptimize(
+                exec.forwardSeeded(layer, {acts}, {fwd.raw()()}));
         }
         const double secs =
             std::chrono::duration<double>(clock::now() - t0).count();
@@ -532,9 +537,8 @@ reportShardedFanOut()
                                            topo);
             const auto t0 = clock::now();
             pool.parallelForSharded(tasks, [&](std::size_t t) {
-                Rng task_rng(t);
-                benchmark::DoNotOptimize(
-                    exec.forward(layer, acts, task_rng));
+                benchmark::DoNotOptimize(exec.forwardSeeded(
+                    layer, {acts}, {Rng(t).raw()()}));
             });
             const double secs =
                 std::chrono::duration<double>(clock::now() - t0)
@@ -630,7 +634,8 @@ reportThreadBatchSweep()
                 for (std::size_t r = 0; r < reps; ++r) {
                     std::vector<std::vector<int>> acts = batch;
                     for (const auto &layer : wl.layers)
-                        acts = exec.forward(layer, acts, data_rng);
+                        acts = exec.forwardSeeded(
+                            layer, acts, drawRoots(data_rng, batch_size));
                     benchmark::DoNotOptimize(acts);
                 }
                 const double secs =
@@ -763,7 +768,8 @@ reportSimdWorkloadSweep()
             for (std::size_t r = 0; r < reps; ++r) {
                 std::vector<std::vector<int>> acts = batch;
                 for (const auto &layer : wl.layers)
-                    acts = exec.forward(layer, acts, data_rng);
+                    acts = exec.forwardSeeded(
+                        layer, acts, drawRoots(data_rng, batch_size));
                 benchmark::DoNotOptimize(acts);
             }
             const double secs =

@@ -90,12 +90,13 @@ bool operator!=(const LedgerCounts &a, const LedgerCounts &b);
  * Thread-safe activity accumulator one executor forward (or many —
  * counts accumulate until reset()) reports into.
  *
- * Usage: pass a ledger to TileExecutor::forward/forwardDecoded. The
- * executor calls beginForward() before its parallel phases (growing the
- * per-tile grid to the layer's tiling), each tile-observe task calls
- * recordTile() on its own (rt, ct) slot, and each merge task calls
- * recordMerge(). A ledger reused across layers of different geometry
- * accumulates per-tile counts coordinate-wise over the union grid.
+ * Usage: pass a ledger to TileExecutor::forwardSeeded or
+ * forwardDecodedSeeded. The executor calls beginForward() before its
+ * parallel phases (growing the per-tile grid to the layer's tiling),
+ * each tile-observe task calls recordTile() on its own (rt, ct) slot,
+ * and each merge task calls recordMerge(). A ledger reused across
+ * layers of different geometry accumulates per-tile counts
+ * coordinate-wise over the union grid.
  */
 class HardwareLedger
 {

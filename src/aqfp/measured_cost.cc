@@ -42,9 +42,8 @@ MeasuredCostProbe::countsFor(std::size_t fan_in, std::size_t fan_out,
         cache_->geometry(fan_in, fan_out, cs);
     const crossbar::TileExecutor exec(window, false, 0.25, 1);
     HardwareLedger ledger;
-    Rng rng(1);
     const std::vector<int> acts(layer->fanIn, 1);
-    exec.forward(*layer, acts, rng, &ledger);
+    exec.forwardSeeded(*layer, {acts}, {Rng(1).raw()()}, &ledger);
     const LedgerCounts totals = ledger.totals();
     counts_.emplace(key, totals);
     return totals;

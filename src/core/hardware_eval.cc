@@ -488,6 +488,15 @@ HardwareEvaluator::classScoresSeeded(
             "HardwareEvaluator::classScoresSeeded: "
             + std::to_string(seeds.size()) + " seeds for "
             + std::to_string(samples.size()) + " samples");
+    const std::size_t expected = inputSize();
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        if (samples[i].size() != expected)
+            throw std::invalid_argument(
+                "HardwareEvaluator::classScoresSeeded: sample "
+                + std::to_string(i) + " has "
+                + std::to_string(samples[i].size())
+                + " values, the mapped model takes "
+                + std::to_string(expected));
     std::vector<std::vector<int>> inputs;
     inputs.reserve(samples.size());
     for (const Tensor &s : samples)
@@ -582,6 +591,19 @@ HardwareEvaluator::totalLedgerCounts() const
     for (const auto &l : ledgers)
         total += l.totals();
     return total;
+}
+
+std::size_t
+HardwareEvaluator::inputSize() const
+{
+    if (kind == Kind::None)
+        return 0;
+    if (mapped.empty())
+        return headMapped.fanIn;
+    const MappedCell &first = mapped.front();
+    return kind == Kind::Mlp
+        ? first.layer.fanIn
+        : first.inChannels * first.inSide * first.inSide;
 }
 
 std::size_t

@@ -147,6 +147,7 @@ class HardwareEvaluator
      *
      * @param samples (1, D) or (1, C, H, W) float inputs
      * @throws std::invalid_argument when seeds.size() != samples.size()
+     *         or a sample does not hold inputSize() values
      * @throws std::logic_error when no model is mapped
      */
     std::vector<std::vector<double>>
@@ -176,6 +177,12 @@ class HardwareEvaluator
      */
     double evaluate(const data::Dataset &dataset, std::size_t max_samples,
                     Rng &rng) const;
+
+    /**
+     * Values per sample the mapped model takes (D for an MLP, C * H * W
+     * for a CNN); 0 before a model is mapped.
+     */
+    std::size_t inputSize() const;
 
     /** Total crossbar tiles across all mapped layers. */
     std::size_t totalCrossbars() const;

@@ -143,8 +143,8 @@ class CellBinarize : public nn::Module
  * The final layer's crossbars cannot export raw column sums: each row
  * tile's neuron only emits stochastic bits whose density is the
  * erf-squashed partial sum, and the APC count register is what gets read
- * out (TileExecutor::forwardDecoded). This layer replaces the head's
- * linear output with the hardware expectation
+ * out (TileExecutor::forwardDecodedSeeded). This layer replaces the
+ * head's linear output with the hardware expectation
  *
  *   logit_j = alpha_j * sum_t erf(sqrt(pi) * s_tj / deltaVin)
  *

@@ -108,28 +108,23 @@ TileExecutor::runParallel(
 
 namespace {
 
-/**
- * The root draws the Rng-based overloads consume: one raw draw per
- * sample, in sample order, before any parallel work — so RNG
- * consumption is identical to N consecutive single forwards.
- */
-std::vector<std::uint64_t>
-drawRoots(Rng &rng, std::size_t samples)
-{
-    std::vector<std::uint64_t> roots(samples);
-    for (auto &r : roots)
-        r = rng.raw()();
-    return roots;
-}
-
 void
-requireMatchingRoots(std::size_t samples, std::size_t roots)
+checkBatch(const MappedLayer &layer,
+           const std::vector<std::vector<int>> &batch,
+           std::size_t roots)
 {
-    if (samples != roots)
+    if (batch.size() != roots)
         throw std::invalid_argument(
             "TileExecutor: per-sample root count ("
             + std::to_string(roots) + ") must match the batch size ("
-            + std::to_string(samples) + ")");
+            + std::to_string(batch.size()) + ")");
+    for (std::size_t b = 0; b < batch.size(); ++b)
+        if (batch[b].size() != layer.fanIn)
+            throw std::invalid_argument(
+                "TileExecutor: sample " + std::to_string(b)
+                + " has length " + std::to_string(batch[b].size())
+                + ", the layer's fan-in is "
+                + std::to_string(layer.fanIn));
 }
 
 } // namespace
@@ -168,17 +163,28 @@ TileExecutor::observeTiles(
     });
 }
 
-void
-TileExecutor::mergeColumns(
-    const MappedLayer &layer, std::size_t samples,
-    const std::vector<std::vector<sc::BitstreamBatch>> &observed,
-    const sc::AccumulationModule &accum, aqfp::HardwareLedger *ledger,
-    const std::function<void(std::size_t, std::size_t,
-                             const std::vector<sc::StreamView> &)> &emit)
-    const
+template <typename T, typename Readout>
+std::vector<std::vector<T>>
+TileExecutor::forwardWith(const MappedLayer &layer,
+                          const std::vector<std::vector<int>> &batch,
+                          const std::vector<std::uint64_t> &roots,
+                          aqfp::HardwareLedger *ledger,
+                          Readout readout) const
 {
+    checkBatch(layer, batch, roots.size());
+    const std::size_t samples = batch.size();
+    std::vector<std::vector<T>> out(samples,
+                                    std::vector<T>(layer.fanOut));
+    if (samples == 0)
+        return out;
+
+    std::vector<std::vector<sc::BitstreamBatch>> observed;
+    observeTiles(layer, batch, roots, observed, ledger); // barrier inside
+
+    const sc::AccumulationModule accum(layer.rowTiles, window_, useExact,
+                                       dropFraction);
     // One task per (sample, column group); each writes a disjoint
-    // slice of the output through emit.
+    // slice of the output.
     runParallel(samples * layer.colTiles, [&](std::size_t t) {
         const std::size_t b = t / layer.colTiles;
         const std::size_t ct = t % layer.colTiles;
@@ -189,7 +195,7 @@ TileExecutor::mergeColumns(
             for (std::size_t rt = 0; rt < layer.rowTiles; ++rt)
                 column[rt] =
                     observed[rt * layer.colTiles + ct][c].view(b);
-            emit(b, c0 + c, column);
+            out[b][c0 + c] = readout(accum, column);
         }
         // Only real columns are merged (a partial tail group merges
         // fewer than Cs); the group still serializes for one full
@@ -202,6 +208,7 @@ TileExecutor::mergeColumns(
         ledger->recordBuffer(
             static_cast<std::uint64_t>(samples) * layer.fanIn,
             static_cast<std::uint64_t>(samples) * layer.fanOut);
+    return out;
 }
 
 std::vector<std::vector<int>>
@@ -210,48 +217,12 @@ TileExecutor::forwardSeeded(const MappedLayer &layer,
                             const std::vector<std::uint64_t> &roots,
                             aqfp::HardwareLedger *ledger) const
 {
-#ifndef NDEBUG
-    for (const auto &acts : batch)
-        assert(acts.size() == layer.fanIn);
-#endif
-    requireMatchingRoots(batch.size(), roots.size());
-    const std::size_t samples = batch.size();
-    std::vector<std::vector<int>> out(
-        samples, std::vector<int>(layer.fanOut, -1));
-    if (samples == 0)
-        return out;
-
-    std::vector<std::vector<sc::BitstreamBatch>> observed;
-    observeTiles(layer, batch, roots, observed, ledger); // barrier inside
-
-    const sc::AccumulationModule accum(layer.rowTiles, window_, useExact,
-                                       dropFraction);
-    mergeColumns(layer, samples, observed, accum, ledger,
-                 [&](std::size_t b, std::size_t col,
-                     const std::vector<sc::StreamView> &column) {
-                     out[b][col] = accum.accumulate(column);
-                 });
-    return out;
-}
-
-std::vector<std::vector<int>>
-TileExecutor::forward(const MappedLayer &layer,
-                      const std::vector<std::vector<int>> &batch,
-                      Rng &rng, aqfp::HardwareLedger *ledger) const
-{
-    return forwardSeeded(layer, batch, drawRoots(rng, batch.size()),
-                         ledger);
-}
-
-std::vector<int>
-TileExecutor::forward(const MappedLayer &layer,
-                      const std::vector<int> &activations, Rng &rng,
-                      aqfp::HardwareLedger *ledger) const
-{
-    assert(activations.size() == layer.fanIn);
-    auto batched = forward(
-        layer, std::vector<std::vector<int>>{activations}, rng, ledger);
-    return std::move(batched[0]);
+    return forwardWith<int>(
+        layer, batch, roots, ledger,
+        [](const sc::AccumulationModule &accum,
+           const std::vector<sc::StreamView> &column) {
+            return accum.accumulate(column);
+        });
 }
 
 std::vector<std::vector<double>>
@@ -261,48 +232,12 @@ TileExecutor::forwardDecodedSeeded(
     const std::vector<std::uint64_t> &roots,
     aqfp::HardwareLedger *ledger) const
 {
-#ifndef NDEBUG
-    for (const auto &acts : batch)
-        assert(acts.size() == layer.fanIn);
-#endif
-    requireMatchingRoots(batch.size(), roots.size());
-    const std::size_t samples = batch.size();
-    std::vector<std::vector<double>> out(
-        samples, std::vector<double>(layer.fanOut, 0.0));
-    if (samples == 0)
-        return out;
-
-    std::vector<std::vector<sc::BitstreamBatch>> observed;
-    observeTiles(layer, batch, roots, observed, ledger);
-
-    const sc::AccumulationModule accum(layer.rowTiles, window_, useExact,
-                                       dropFraction);
-    mergeColumns(layer, samples, observed, accum, ledger,
-                 [&](std::size_t b, std::size_t col,
-                     const std::vector<sc::StreamView> &column) {
-                     out[b][col] = accum.decodedSum(column);
-                 });
-    return out;
-}
-
-std::vector<std::vector<double>>
-TileExecutor::forwardDecoded(const MappedLayer &layer,
-                             const std::vector<std::vector<int>> &batch,
-                             Rng &rng, aqfp::HardwareLedger *ledger) const
-{
-    return forwardDecodedSeeded(layer, batch,
-                                drawRoots(rng, batch.size()), ledger);
-}
-
-std::vector<double>
-TileExecutor::forwardDecoded(const MappedLayer &layer,
-                             const std::vector<int> &activations,
-                             Rng &rng, aqfp::HardwareLedger *ledger) const
-{
-    assert(activations.size() == layer.fanIn);
-    auto batched = forwardDecoded(
-        layer, std::vector<std::vector<int>>{activations}, rng, ledger);
-    return std::move(batched[0]);
+    return forwardWith<double>(
+        layer, batch, roots, ledger,
+        [](const sc::AccumulationModule &accum,
+           const std::vector<sc::StreamView> &column) {
+            return accum.decodedSum(column);
+        });
 }
 
 std::vector<double>

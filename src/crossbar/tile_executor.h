@@ -15,17 +15,17 @@
  * executors reuse one set of worker threads — each writing its streams
  * into its own slot of a preallocated scratch table; the pool's
  * barrier then separates observation from the (also parallel)
- * per-column-group accumulation merge. Determinism does not depend on
- * the thread count: every (sample, tile) task draws from its own
- * counter-based RNG stream (sc::detail::CounterStream) whose 8-byte
- * seed mixes one root draw per sample (taken from the caller's Rng in
- * sample order) with the tile coordinates. Consequences:
+ * per-column-group accumulation merge. Every (sample, tile) task draws
+ * from its own counter-based RNG stream (sc::detail::CounterStream)
+ * whose 8-byte seed mixes the sample's 64-bit root with the tile
+ * coordinates, so a sample's outputs depend only on (layer, input,
+ * root). Consequences:
  *
  *  - any thread count, pool sharing arrangement, and SIMD dispatch arm
  *    produces bit-identical outputs, and
- *  - a batched forward of N samples is bit-identical to N consecutive
- *    single-sample forwards from the same starting Rng state (each
- *    single forward consumes exactly one root draw).
+ *  - a sample's outputs do not depend on which other samples share its
+ *    batch, nor on their order: a batch of N is bit-identical to N
+ *    single-sample forwards with the same roots.
  *
  * Forward passes can additionally report their observed hardware
  * activity (tile cycles, Bernoulli draws, APC merges, serialization
@@ -39,6 +39,7 @@
 #define SUPERBNN_CROSSBAR_TILE_EXECUTOR_H
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -71,62 +72,28 @@ class TileExecutor
                           std::size_t threads = 0);
 
     /**
-     * Full stochastic forward pass of one layer.
+     * Full stochastic forward pass of one layer over a batch:
+     * programmed tiles are mapped once and reused for every sample,
+     * and the tile observations for all (sample, rowTile, colTile)
+     * combinations run as one parallel phase. Sample b's outputs depend
+     * only on (layer, batch[b], roots[b]) — never on the thread count
+     * or on which other samples share the batch — so a request
+     * coalesced into any batch is bit-identical to the same request
+     * run alone with the same root (the request-level determinism the
+     * inference service batches through, see docs/SERVING.md).
      *
-     * @param layer        the mapped layer (with thresholds installed)
-     * @param activations  +/-1 inputs, length layer.fanIn
-     * @param rng          randomness source (device noise); exactly one
-     *                     raw draw is consumed as the per-sample root
-     *                     seed
-     * @param ledger       optional hardware-activity ledger: when
-     *                     non-null the pass reports observed tile
-     *                     cycles, Bernoulli draws, APC merges,
-     *                     column-group serialization steps and buffer
-     *                     traffic into it (see aqfp::HardwareLedger;
-     *                     totals are bit-identical across thread
-     *                     counts, SIMD arms, and batch splits)
-     * @return +/-1 outputs, length layer.fanOut
-     */
-    std::vector<int> forward(const MappedLayer &layer,
-                             const std::vector<int> &activations,
-                             Rng &rng,
-                             aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /**
-     * Batched forward: programmed tiles are mapped once and reused for
-     * every sample; tile observations for all (sample, rowTile,
-     * colTile) combinations run as one parallel phase. Bit-identical to
-     * calling forward() per sample with the same starting @p rng state.
-     *
-     * @param layer   the mapped layer
+     * @param layer   the mapped layer (with thresholds installed)
      * @param batch   +/-1 input vectors, each of length layer.fanIn
-     * @param rng     root-seed source; consumes batch.size() raw draws
-     * @param ledger  optional hardware-activity ledger (see the
-     *                single-sample overload)
+     * @param roots   one 64-bit root seed per sample (its device noise)
+     * @param ledger  optional hardware-activity ledger: when non-null
+     *                the pass reports observed tile cycles, Bernoulli
+     *                draws, APC merges, column-group serialization
+     *                steps and buffer traffic into it (see
+     *                aqfp::HardwareLedger; totals are bit-identical
+     *                across thread counts, SIMD arms, and batch splits)
      * @return one +/-1 output vector (length layer.fanOut) per sample
-     */
-    std::vector<std::vector<int>>
-    forward(const MappedLayer &layer,
-            const std::vector<std::vector<int>> &batch, Rng &rng,
-            aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /**
-     * Batched forward with caller-supplied per-sample root draws
-     * instead of a shared Rng: @p roots[b] plays the role of the one
-     * raw draw the Rng overload takes for sample b, so sample b's
-     * outputs depend ONLY on (layer, batch[b], roots[b]) — never on
-     * which other samples share the megabatch. This is the
-     * request-level determinism hook the inference service layer
-     * batches through (see docs/SERVING.md): a request coalesced into
-     * any batch is bit-identical to the same request run alone with
-     * the same root. Passing roots drawn as `rng.raw()()` in sample
-     * order reproduces the Rng overload exactly.
-     *
-     * @param layer   the mapped layer
-     * @param batch   +/-1 input vectors, each of length layer.fanIn
-     * @param roots   one raw 64-bit root draw per sample
-     * @param ledger  optional hardware-activity ledger
      * @throws std::invalid_argument when roots.size() != batch.size()
+     *         or a sample's length is not layer.fanIn
      */
     std::vector<std::vector<int>>
     forwardSeeded(const MappedLayer &layer,
@@ -139,23 +106,7 @@ class TileExecutor
      * final comparator, the APC count register is read out directly and
      * decoded to the accumulated bipolar value (minus the installed
      * thresholds). Still fully stochastic — it runs on the same observed
-     * bitstreams.
-     */
-    std::vector<double>
-    forwardDecoded(const MappedLayer &layer,
-                   const std::vector<int> &activations, Rng &rng,
-                   aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /** Batched forwardDecoded (same exactness contract as forward). */
-    std::vector<std::vector<double>>
-    forwardDecoded(const MappedLayer &layer,
-                   const std::vector<std::vector<int>> &batch, Rng &rng,
-                   aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /**
-     * Batched forwardDecoded with caller-supplied per-sample roots
-     * (same per-request determinism contract as forwardSeeded).
-     * @throws std::invalid_argument when roots.size() != batch.size()
+     * bitstreams, under the same contract and checks as forwardSeeded.
      */
     std::vector<std::vector<double>>
     forwardDecodedSeeded(const MappedLayer &layer,
@@ -173,12 +124,10 @@ class TileExecutor
                const std::vector<int> &activations) const;
 
     /**
-     * Exact probability that each output fires +1 when the window is 1
-     * (single-shot mode): the product law of the per-tile neuron
-     * probabilities reduces to the accumulate threshold; computed by
-     * exhaustive expectation over tiles via normal approximation is not
-     * used — for window 1 and a single row tile it is the neuron
-     * probability itself, which tests exercise.
+     * Exact per-output probability that the crossbar neuron reads '1'
+     * (the Eq.-1 column probabilities) for a layer with a single row
+     * tile (asserted). With one row tile and a window of 1 this is the
+     * probability that the output fires +1.
      */
     std::vector<double>
     singleTileProbabilities(const MappedLayer &layer,
@@ -231,11 +180,9 @@ class TileExecutor
                      const std::function<void(std::size_t)> &task) const;
 
     /**
-     * Phase 1 of a (batched) forward: observe every (rowTile, colTile)
-     * tile for every sample into the scratch table, one task per tile.
+     * Phase 1 of a forward: observe every (rowTile, colTile) tile for
+     * every sample into the scratch table, one task per tile.
      * observed[rt * colTiles + ct][c] holds column c's BitstreamBatch.
-     * @p roots carries one pre-drawn per-sample root (the Rng-based
-     * overloads draw them in sample order before any parallel work).
      */
     void
     observeTiles(const MappedLayer &layer,
@@ -245,20 +192,18 @@ class TileExecutor
                  aqfp::HardwareLedger *ledger) const;
 
     /**
-     * Phase 2: per-(sample, column group) accumulation merge shared by
-     * forward and forwardDecoded; @p emit consumes each merged column.
-     * Reports merge activity and buffer traffic into @p ledger.
+     * The body both readouts share: checks the batch, observes the
+     * tiles, then merges each (sample, column group) in parallel and
+     * reads every merged column out through @p readout (the
+     * comparator or the decoded count). Reports merge activity and
+     * buffer traffic into @p ledger.
      */
-    void
-    mergeColumns(const MappedLayer &layer, std::size_t samples,
-                 const std::vector<std::vector<sc::BitstreamBatch>>
-                     &observed,
-                 const sc::AccumulationModule &accum,
-                 aqfp::HardwareLedger *ledger,
-                 const std::function<void(
-                     std::size_t b, std::size_t col,
-                     const std::vector<sc::StreamView> &streams)> &emit)
-        const;
+    template <typename T, typename Readout>
+    std::vector<std::vector<T>>
+    forwardWith(const MappedLayer &layer,
+                const std::vector<std::vector<int>> &batch,
+                const std::vector<std::uint64_t> &roots,
+                aqfp::HardwareLedger *ledger, Readout readout) const;
 };
 
 } // namespace superbnn::crossbar

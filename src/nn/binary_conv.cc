@@ -1,7 +1,6 @@
 #include "nn/binary_conv.h"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace superbnn::nn {
 
@@ -43,18 +42,6 @@ BinaryConv2d::signedWeightMatrix() const
 {
     const std::size_t patch = inC * spec_.kernel * spec_.kernel;
     return signOf(weight_.value.reshaped({outC, patch}));
-}
-
-std::vector<Tensor>
-BinaryConv2d::forwardBatch(const std::vector<Tensor> &samples,
-                           bool training)
-{
-    for (const Tensor &s : samples)
-        if (s.rank() != 4 || s.dim(0) != 1 || s.dim(1) != inC)
-            throw std::invalid_argument(
-                "BinaryConv2d::forwardBatch: every sample must be a "
-                "(1, C, H, W) image");
-    return Module::forwardBatch(samples, training);
 }
 
 Tensor

@@ -28,16 +28,6 @@ class BinaryConv2d : public Module, public TilePartialSource
 
     Tensor forward(const Tensor &input, bool training) override;
 
-    /**
-     * Batched forward: validates that every sample is a (1, C, H, W)
-     * image, then runs the stacked batch through forward() once, so
-     * weight binarization and the im2col lowering are paid once for
-     * the whole batch.
-     */
-    std::vector<Tensor>
-    forwardBatch(const std::vector<Tensor> &samples,
-                 bool training) override;
-
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Parameter *> parameters() override;
     std::string name() const override { return "BinaryConv2d"; }

@@ -1,7 +1,6 @@
 #include "nn/binary_linear.h"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "tensor/tensor_ops.h"
 
@@ -42,18 +41,6 @@ Tensor
 BinaryLinear::signedWeights() const
 {
     return signOf(weight_.value);
-}
-
-std::vector<Tensor>
-BinaryLinear::forwardBatch(const std::vector<Tensor> &samples,
-                           bool training)
-{
-    for (const Tensor &s : samples)
-        if (s.rank() != 2 || s.dim(0) != 1 || s.dim(1) != inF)
-            throw std::invalid_argument(
-                "BinaryLinear::forwardBatch: every sample must be a "
-                "(1, in_features) row");
-    return Module::forwardBatch(samples, training);
 }
 
 Tensor

@@ -30,15 +30,6 @@ class BinaryLinear : public Module, public TilePartialSource
 
     Tensor forward(const Tensor &input, bool training) override;
 
-    /**
-     * Batched forward: validates that every sample is a (1, in)
-     * activation row, then runs the stacked batch through forward()
-     * once, binarizing sign(wr) a single time for all samples.
-     */
-    std::vector<Tensor>
-    forwardBatch(const std::vector<Tensor> &samples,
-                 bool training) override;
-
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Parameter *> parameters() override;
     std::string name() const override { return "BinaryLinear"; }

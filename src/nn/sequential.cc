@@ -18,18 +18,6 @@ Sequential::forward(const Tensor &input, bool training)
     return x;
 }
 
-std::vector<Tensor>
-Sequential::forwardBatch(const std::vector<Tensor> &samples,
-                         bool training)
-{
-    if (samples.empty())
-        return {};
-    Tensor x = stackSamples(samples);
-    for (auto &l : layers)
-        x = l->forward(x, training);
-    return splitBatch(x);
-}
-
 Tensor
 Sequential::backward(const Tensor &grad_output)
 {

@@ -32,15 +32,6 @@ class Sequential : public Module
 
     Tensor forward(const Tensor &input, bool training) override;
 
-    /**
-     * Batched forward: stacks the samples once and drives the stacked
-     * tensor through every child layer (one stack/split for the whole
-     * network, not one per layer).
-     */
-    std::vector<Tensor>
-    forwardBatch(const std::vector<Tensor> &samples,
-                 bool training) override;
-
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Parameter *> parameters() override;
     std::string name() const override { return "Sequential"; }

@@ -137,6 +137,12 @@ std::optional<std::future<InferenceResponse>>
 InferenceService::trySubmitLocked(Tensor sample, std::uint64_t seed,
                                   bool throw_on_reject)
 {
+    if (sample.size() != evaluator.inputSize())
+        throw std::invalid_argument(
+            "InferenceService: sample has "
+            + std::to_string(sample.size())
+            + " values, the mapped model takes "
+            + std::to_string(evaluator.inputSize()));
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping) {
         if (throw_on_reject)

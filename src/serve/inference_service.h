@@ -174,6 +174,9 @@ class InferenceService
      * @p seed pins the request's stochastic-computing noise stream —
      * the response is a pure function of (mapped model, sample, seed).
      *
+     * @throws std::invalid_argument when @p sample does not hold the
+     *         evaluator's inputSize() values (refused at admission, so
+     *         it cannot fail the requests coalesced with it)
      * @throws QueueFullError when maxQueue requests are already queued
      * @throws ShutdownError  after stop()
      */
@@ -181,8 +184,10 @@ class InferenceService
                                           std::uint64_t seed);
 
     /**
-     * Non-throwing admission: nullopt instead of QueueFullError /
-     * ShutdownError (the load generator's drop-and-count path).
+     * Admission without the load exceptions: nullopt instead of
+     * QueueFullError / ShutdownError (the load generator's
+     * drop-and-count path). A mis-sized sample still throws
+     * std::invalid_argument, as in submit().
      */
     std::optional<std::future<InferenceResponse>>
     trySubmit(Tensor sample, std::uint64_t seed);
@@ -210,8 +215,9 @@ class InferenceService
     };
 
     /**
-     * Shared admission path: nullopt (or, when @p throw_on_reject, the
-     * corresponding exception) on a stopped service or full queue.
+     * Shared admission path: std::invalid_argument on a mis-sized
+     * sample; nullopt (or, when @p throw_on_reject, the corresponding
+     * exception) on a stopped service or full queue.
      */
     std::optional<std::future<InferenceResponse>>
     trySubmitLocked(Tensor sample, std::uint64_t seed,

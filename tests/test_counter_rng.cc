@@ -17,6 +17,7 @@
 #include "aqfp/attenuation.h"
 #include "crossbar/mapper.h"
 #include "crossbar/tile_executor.h"
+#include "energy_ledger_util.h"
 #include "sc/bitstream.h"
 #include "simd/kernels.h"
 #include "simd_test_util.h"
@@ -299,8 +300,8 @@ TEST(CounterFill, DrawAccountingMatchesObservedConsumption)
 TEST(CounterDeterminism, ExecutorBitIdenticalAcrossThreadsAndArms)
 {
     // The acceptance contract of the counter-based generator: the
-    // executor's outputs are a pure function of (layer, inputs, Rng
-    // state) — identical at 1/4/8 threads and on every dispatch arm.
+    // executor's outputs are a pure function of (layer, inputs, roots)
+    // — identical at 1/4/8 threads and on every dispatch arm.
     ArmRestore restore;
     const aqfp::AttenuationModel atten;
     const crossbar::CrossbarMapper mapper(8, atten, 2.4);
@@ -318,15 +319,16 @@ TEST(CounterDeterminism, ExecutorBitIdenticalAcrossThreadsAndArms)
 
     ASSERT_TRUE(simd::setActiveArm(simd::Arm::Scalar));
     crossbar::TileExecutor ref_exec(16, false, 0.25, 1);
-    Rng ref_rng(1001);
-    const auto ref = ref_exec.forward(layer, batch, ref_rng);
+    Rng root_rng(1001);
+    const auto roots =
+        energy_ledger_util::drawRoots(root_rng, batch.size());
+    const auto ref = ref_exec.forwardSeeded(layer, batch, roots);
 
     for (const simd::Arm arm : simd::availableArms()) {
         ASSERT_TRUE(simd::setActiveArm(arm));
         for (const std::size_t threads : {1u, 4u, 8u}) {
             crossbar::TileExecutor exec(16, false, 0.25, threads);
-            Rng rng(1001);
-            EXPECT_EQ(exec.forward(layer, batch, rng), ref)
+            EXPECT_EQ(exec.forwardSeeded(layer, batch, roots), ref)
                 << simd::armName(arm) << " threads " << threads;
         }
     }

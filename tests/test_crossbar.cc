@@ -216,7 +216,7 @@ TEST(ExecutorTest, DeterministicForwardMatchesSignSingleTile)
         for (auto &a : acts)
             a = rng.bernoulli(0.5) ? 1 : -1;
         const auto sums = exec.latentSums(layer, acts);
-        const auto outs = exec.forward(layer, acts, rng);
+        const auto outs = exec.forwardSeeded(layer, {acts}, {rng.raw()()})[0];
         for (std::size_t o = 0; o < 10; ++o) {
             if (sums[o] == 0.0)
                 continue; // at zero the neuron sits at P = 0.5
@@ -260,7 +260,7 @@ TEST(ExecutorTest, MultiTileDeterministicAggregatesTileSigns)
             sign_sum[o] += (s >= 0) ? 1 : -1;
         }
     }
-    const auto outs = exec.forward(layer, acts, rng);
+    const auto outs = exec.forwardSeeded(layer, {acts}, {rng.raw()()})[0];
     for (std::size_t o = 0; o < 6; ++o) {
         if (any_tie[o] || sign_sum[o] == 0)
             continue;
@@ -285,7 +285,7 @@ TEST(ExecutorTest, StochasticForwardTracksLatentSign)
     const int trials = 120;
     std::vector<int> agree(6, 0);
     for (int t = 0; t < trials; ++t) {
-        const auto outs = exec.forward(layer, acts, rng);
+        const auto outs = exec.forwardSeeded(layer, {acts}, {rng.raw()()})[0];
         for (std::size_t o = 0; o < 6; ++o)
             if ((sums[o] >= 0) == (outs[o] == 1))
                 ++agree[o];
@@ -317,7 +317,8 @@ TEST(ExecutorTest, DecodedHeadTracksLatentOrdering)
     std::vector<double> mean(5, 0.0);
     const int trials = 60;
     for (int t = 0; t < trials; ++t) {
-        const auto dec = exec.forwardDecoded(layer, acts, rng);
+        const auto dec =
+            exec.forwardDecodedSeeded(layer, {acts}, {rng.raw()()})[0];
         for (std::size_t o = 0; o < 5; ++o)
             mean[o] += dec[o];
     }
@@ -370,7 +371,7 @@ TEST_P(ExecutorWindowSweep, ErrorRateShrinksWithWindow)
     int mismatches = 0, decided = 0;
     const int trials = 150;
     for (int t = 0; t < trials; ++t) {
-        const auto outs = exec.forward(layer, acts, rng);
+        const auto outs = exec.forwardSeeded(layer, {acts}, {rng.raw()()})[0];
         for (std::size_t o = 0; o < 8; ++o) {
             if (std::abs(sums[o]) < 2.0)
                 continue;

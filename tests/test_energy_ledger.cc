@@ -38,6 +38,7 @@
 using namespace superbnn;
 using namespace superbnn::core;
 using superbnn::test::ArmRestore;
+using energy_ledger_util::drawRoots;
 using energy_ledger_util::geometryLayer;
 using energy_ledger_util::measureSinglePosition;
 using energy_ledger_util::replayContext;
@@ -176,8 +177,8 @@ TEST(EnergyLedgerCounts, MatchClosedFormsOnMultiTileLayer)
     const crossbar::TileExecutor exec(window, false, 0.25, 1);
     aqfp::HardwareLedger ledger;
     Rng fwd(17);
-    exec.forward(layer, randomBatch(samples, fan_in, fwd), fwd,
-                 &ledger);
+    const auto batch = randomBatch(samples, fan_in, fwd);
+    exec.forwardSeeded(layer, batch, drawRoots(fwd, samples), &ledger);
     const aqfp::LedgerCounts c = ledger.totals();
 
     EXPECT_EQ(c.samples, samples);
@@ -212,10 +213,11 @@ TEST(EnergyLedgerCounts, ForwardDecodedCountsLikeForward)
     const crossbar::TileExecutor exec(12, false, 0.25, 1);
 
     aqfp::HardwareLedger binary, decoded;
-    Rng r1(9), r2(9);
+    Rng r(9);
     const auto batch = randomBatch(3, 24, rng);
-    exec.forward(layer, batch, r1, &binary);
-    exec.forwardDecoded(layer, batch, r2, &decoded);
+    const auto roots = drawRoots(r, batch.size());
+    exec.forwardSeeded(layer, batch, roots, &binary);
+    exec.forwardDecodedSeeded(layer, batch, roots, &decoded);
     EXPECT_EQ(binary.totals(), decoded.totals());
 }
 
@@ -226,14 +228,14 @@ TEST(EnergyLedgerCounts, NullLedgerAndEmptyBatchAreNoOps)
     const crossbar::TileExecutor exec(8, false, 0.25, 1);
     // No ledger: same outputs as with one (the hooks are pure taps).
     const auto batch = randomBatch(2, 8, rng);
-    Rng a(7), b(7);
+    Rng r(7);
+    const auto roots = drawRoots(r, batch.size());
     aqfp::HardwareLedger ledger;
-    EXPECT_EQ(exec.forward(layer, batch, a),
-              exec.forward(layer, batch, b, &ledger));
+    EXPECT_EQ(exec.forwardSeeded(layer, batch, roots),
+              exec.forwardSeeded(layer, batch, roots, &ledger));
 
     aqfp::HardwareLedger empty;
-    Rng c(7);
-    exec.forward(layer, std::vector<std::vector<int>>{}, c, &empty);
+    exec.forwardSeeded(layer, {}, {}, &empty);
     EXPECT_EQ(empty.totals(), aqfp::LedgerCounts{});
 }
 
@@ -251,7 +253,8 @@ TEST(EnergyLedgerDeterminism, TotalsBitIdenticalAcrossThreadCounts)
         const crossbar::TileExecutor exec(16, false, 0.25, threads);
         aqfp::HardwareLedger ledger;
         Rng fwd(33);
-        exec.forward(layer, batch, fwd, &ledger);
+        exec.forwardSeeded(layer, batch, drawRoots(fwd, batch.size()),
+                           &ledger);
         if (!have_ref) {
             ref = ledger.totals();
             have_ref = true;
@@ -275,7 +278,8 @@ TEST(EnergyLedgerDeterminism, TotalsBitIdenticalAcrossSimdArms)
         ASSERT_TRUE(simd::setActiveArm(arm));
         aqfp::HardwareLedger ledger;
         Rng fwd(44);
-        exec.forward(layer, batch, fwd, &ledger);
+        exec.forwardSeeded(layer, batch, drawRoots(fwd, batch.size()),
+                           &ledger);
         if (!have_ref) {
             ref = ledger.totals();
             have_ref = true;
@@ -292,14 +296,14 @@ TEST(EnergyLedgerDeterminism, BatchOfNEqualsNSingles)
     const auto batch = randomBatch(5, 24, rng);
     const crossbar::TileExecutor exec(16, false, 0.25, 2);
 
-    aqfp::HardwareLedger batched;
     Rng fwd(55);
-    exec.forward(layer, batch, fwd, &batched);
+    const auto roots = drawRoots(fwd, batch.size());
+    aqfp::HardwareLedger batched;
+    exec.forwardSeeded(layer, batch, roots, &batched);
 
     aqfp::HardwareLedger singles;
-    Rng fwd2(55);
-    for (const auto &sample : batch)
-        exec.forward(layer, sample, fwd2, &singles);
+    for (std::size_t b = 0; b < batch.size(); ++b)
+        exec.forwardSeeded(layer, {batch[b]}, {roots[b]}, &singles);
 
     EXPECT_EQ(batched.totals(), singles.totals());
     for (std::size_t rt = 0; rt < batched.rowTiles(); ++rt)
@@ -319,8 +323,10 @@ TEST(HardwareLedgerTest, GridGrowsAcrossMixedGeometries)
 
     aqfp::HardwareLedger ledger;
     Rng fwd(66);
-    exec.forward(small, randomBatch(2, 8, fwd), fwd, &ledger);
-    exec.forward(wide, randomBatch(1, 8, fwd), fwd, &ledger);
+    const auto two = randomBatch(2, 8, fwd);
+    exec.forwardSeeded(small, two, drawRoots(fwd, 2), &ledger);
+    const auto one = randomBatch(1, 8, fwd);
+    exec.forwardSeeded(wide, one, drawRoots(fwd, 1), &ledger);
     EXPECT_EQ(ledger.rowTiles(), 1u);
     EXPECT_EQ(ledger.colTiles(), 3u);
     // Tile (0,0) saw both passes; (0,2) only the wide layer's.

@@ -82,6 +82,21 @@ makeTinyMlp()
                          aqfp::AttenuationModel(), rng);
 }
 
+/** A small untrained CNN over (1, 2, 8, 8) images, 3 classes. */
+RandomizedCnn
+makeTinyCnn(std::uint64_t seed)
+{
+    RandomizedCnn::Config cfg;
+    cfg.inputChannels = 2;
+    cfg.inputSide = 8;
+    cfg.channels = {6, 8};
+    cfg.poolAfter = {true, false};
+    cfg.classes = 3;
+    Rng rng(seed);
+    return RandomizedCnn(cfg, AqfpBehavior{8, 2.4, 0.0},
+                         aqfp::AttenuationModel(), rng);
+}
+
 /** Cs = 8, window 8 evaluator over the tiny MLP (threads as usual). */
 std::unique_ptr<HardwareEvaluator>
 makeMlpEvaluator(std::size_t threads = 1)
@@ -188,15 +203,7 @@ TEST(ClassScoresSeeded, IdenticalAcrossThreadCounts)
 
 TEST(ClassScoresSeeded, BatchedEqualsSinglesForCnn)
 {
-    RandomizedCnn::Config cfg;
-    cfg.inputChannels = 2;
-    cfg.inputSide = 8;
-    cfg.channels = {6, 8};
-    cfg.poolAfter = {true, false};
-    cfg.classes = 3;
-    Rng rng(77);
-    const RandomizedCnn cnn(cfg, AqfpBehavior{8, 2.4, 0.0},
-                            aqfp::AttenuationModel(), rng);
+    const RandomizedCnn cnn = makeTinyCnn(77);
     HardwareEvaluator eval(aqfp::AttenuationModel(),
                            HardwareConfig{8, 8, 2.4, false, 0.25, 1, 8});
     eval.mapCnn(cnn);
@@ -220,6 +227,45 @@ TEST(ClassScoresSeeded, SeedCountMismatchThrows)
     EXPECT_THROW(eval->classScoresSeeded({flatSample(32, 0)}, {1, 2}),
                  std::invalid_argument);
     EXPECT_TRUE(eval->classScoresSeeded({}, {}).empty());
+}
+
+TEST(ClassScoresSeeded, MisSizedSampleThrows)
+{
+    // A short sample would be read past its end by the executor's tile
+    // slicing (MLP) or the patch gather (CNN); a long one would be
+    // scored on its leading values alone. Both are refused, naming the
+    // sample and both lengths.
+    const auto mlp = makeMlpEvaluator();
+    EXPECT_EQ(mlp->inputSize(), 32u);
+    for (const std::size_t dim : {3u, 31u, 33u, 200u})
+        EXPECT_THROW(mlp->classScoresSeeded(
+                         {flatSample(32, 0), flatSample(dim, 1)}, {1, 2}),
+                     std::invalid_argument)
+            << dim << " values";
+    try {
+        mlp->classScoresSeeded({flatSample(32, 0), flatSample(3, 1)},
+                               {1, 2});
+        ADD_FAILURE() << "a 3-value sample was scored";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("sample 1 has 3 values"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("takes 32"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    HardwareEvaluator cnn(aqfp::AttenuationModel(),
+                          HardwareConfig{8, 8, 2.4, false, 0.25, 1, 8});
+    cnn.mapCnn(makeTinyCnn(79));
+    EXPECT_EQ(cnn.inputSize(), 2u * 8 * 8);
+    for (const Tensor &bad : {imageSample(2, 4, 0), imageSample(1, 8, 0),
+                              imageSample(3, 8, 0)})
+        EXPECT_THROW(cnn.classScoresSeeded({bad}, {1}),
+                     std::invalid_argument)
+            << bad.size() << " values";
+    EXPECT_EQ(cnn.classScoresSeeded({imageSample(2, 8, 0)}, {1}).size(),
+              1u);
 }
 
 namespace {
@@ -277,15 +323,7 @@ TEST(EvaluateSeeded, SameAccuracyAtEveryEvalBatchForMultiLayerMlp)
 
 TEST(EvaluateSeeded, SameAccuracyAtEveryEvalBatchForCnn)
 {
-    RandomizedCnn::Config cfg;
-    cfg.inputChannels = 2;
-    cfg.inputSide = 8;
-    cfg.channels = {6, 8};
-    cfg.poolAfter = {true, false};
-    cfg.classes = 3;
-    Rng rng(78);
-    const RandomizedCnn cnn(cfg, AqfpBehavior{8, 2.4, 0.0},
-                            aqfp::AttenuationModel(), rng);
+    const RandomizedCnn cnn = makeTinyCnn(78);
     const std::size_t n = 12;
     data::Dataset ds;
     ds.samples = Tensor(Shape{n, 2, 8, 8});
@@ -347,6 +385,25 @@ TEST(InferenceService, ResponsesInvariantUnderCoalescingAndThreads)
         }
         service.stop();
     }
+}
+
+TEST(InferenceService, MisSizedSampleRefusedAtAdmission)
+{
+    // A bad request is refused by submit() and trySubmit() alike before
+    // it is queued, so it can never fail the megabatch it would have
+    // been coalesced into.
+    const auto eval = makeMlpEvaluator();
+    const Tensor good = flatSample(32, 5);
+    const auto expected = eval->classScoresSeeded({good}, {7})[0];
+    InferenceService service(*eval, quickConfig());
+    EXPECT_THROW(service.submit(flatSample(200, 0), 1),
+                 std::invalid_argument);
+    EXPECT_THROW(service.trySubmit(flatSample(3, 0), 1),
+                 std::invalid_argument);
+    EXPECT_EQ(service.submit(good, 7).get().scores, expected);
+    service.stop();
+    EXPECT_EQ(service.stats().accepted, 1u);
+    EXPECT_EQ(service.stats().served, 1u);
 }
 
 TEST(InferenceService, ZeroLingerDispatchesImmediately)

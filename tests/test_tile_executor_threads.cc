@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
@@ -25,9 +26,7 @@
 #include "crossbar/crossbar_array.h"
 #include "crossbar/mapper.h"
 #include "crossbar/tile_executor.h"
-#include "nn/binary_conv.h"
-#include "nn/binary_linear.h"
-#include "nn/sequential.h"
+#include "energy_ledger_util.h"
 #include "sc/accumulation.h"
 #include "sc/bitstream_batch.h"
 #include "util/sharded_executor_pool.h"
@@ -35,6 +34,7 @@
 
 using namespace superbnn;
 using namespace superbnn::crossbar;
+using energy_ledger_util::drawRoots;
 
 namespace {
 
@@ -293,12 +293,11 @@ TEST_F(ExecutorPoolTest, SharedPoolRunsExecutorsCorrectly)
     const MappedLayer layer = makeLayer(setup);
     const std::vector<int> acts = randomActs(24, setup);
     TileExecutor exec(16, false, 0.25, 1);
-    Rng ref_rng(55);
-    const auto ref = exec.forward(layer, acts, ref_rng);
+    const std::uint64_t root = Rng(55).raw()();
+    const auto ref = exec.forwardSeeded(layer, {acts}, {root});
     exec.setThreads(0); // attach to the 4-thread shared pool
     ASSERT_EQ(exec.threads(), 4u);
-    Rng rng(55);
-    EXPECT_EQ(exec.forward(layer, acts, rng), ref);
+    EXPECT_EQ(exec.forwardSeeded(layer, {acts}, {root}), ref);
 }
 
 // --- BitstreamBatch ---
@@ -473,20 +472,19 @@ TEST(ThreadedExecutorTest, BitExactAcrossThreadCounts)
     const std::vector<int> acts = randomActs(24, setup);
 
     TileExecutor exec(16, false, 0.5, 1);
-    Rng rng_seq(123);
-    const std::vector<int> ref = exec.forward(layer, acts, rng_seq);
-    Rng dec_seq(321);
-    const std::vector<double> ref_dec =
-        exec.forwardDecoded(layer, acts, dec_seq);
+    const std::uint64_t root = Rng(123).raw()();
+    const std::uint64_t dec_root = Rng(321).raw()();
+    const auto ref = exec.forwardSeeded(layer, {acts}, {root});
+    const auto ref_dec =
+        exec.forwardDecodedSeeded(layer, {acts}, {dec_root});
 
     for (const std::size_t threads : {2u, 8u}) {
         exec.setThreads(threads);
         EXPECT_EQ(exec.threads(), threads);
-        Rng rng(123);
-        EXPECT_EQ(exec.forward(layer, acts, rng), ref)
+        EXPECT_EQ(exec.forwardSeeded(layer, {acts}, {root}), ref)
             << threads << " threads";
-        Rng dec(321);
-        EXPECT_EQ(exec.forwardDecoded(layer, acts, dec), ref_dec)
+        EXPECT_EQ(exec.forwardDecodedSeeded(layer, {acts}, {dec_root}),
+                  ref_dec)
             << threads << " threads";
     }
 }
@@ -500,13 +498,14 @@ TEST(ThreadedExecutorTest, BatchOfNEqualsNSingleForwards)
         batch.push_back(randomActs(24, setup));
 
     const TileExecutor exec(8, true, 0.0, 4);
-    Rng batched_rng(99);
-    const auto batched = exec.forward(layer, batch, batched_rng);
+    Rng root_rng(99);
+    const auto roots = drawRoots(root_rng, batch.size());
+    const auto batched = exec.forwardSeeded(layer, batch, roots);
     ASSERT_EQ(batched.size(), batch.size());
 
-    Rng single_rng(99);
     for (std::size_t b = 0; b < batch.size(); ++b)
-        EXPECT_EQ(exec.forward(layer, batch[b], single_rng), batched[b])
+        EXPECT_EQ(exec.forwardSeeded(layer, {batch[b]}, {roots[b]})[0],
+                  batched[b])
             << "sample " << b;
 }
 
@@ -519,13 +518,13 @@ TEST(ThreadedExecutorTest, DecodedBatchEqualsSingles)
         batch.push_back(randomActs(24, setup));
 
     const TileExecutor exec(16, false, 0.25, 2);
-    Rng batched_rng(77);
-    const auto batched = exec.forwardDecoded(layer, batch, batched_rng);
+    Rng root_rng(77);
+    const auto roots = drawRoots(root_rng, batch.size());
+    const auto batched = exec.forwardDecodedSeeded(layer, batch, roots);
 
-    Rng single_rng(77);
     for (std::size_t b = 0; b < batch.size(); ++b) {
         const auto one =
-            exec.forwardDecoded(layer, batch[b], single_rng);
+            exec.forwardDecodedSeeded(layer, {batch[b]}, {roots[b]})[0];
         ASSERT_EQ(one.size(), batched[b].size());
         for (std::size_t o = 0; o < one.size(); ++o)
             EXPECT_DOUBLE_EQ(batched[b][o], one[o])
@@ -542,12 +541,12 @@ TEST(ThreadedExecutorTest, BatchResultIndependentOfThreadCount)
         batch.push_back(randomActs(24, setup));
 
     TileExecutor exec(16, false, 0.5, 1);
-    Rng ref_rng(7);
-    const auto ref = exec.forward(layer, batch, ref_rng);
+    Rng root_rng(7);
+    const auto roots = drawRoots(root_rng, batch.size());
+    const auto ref = exec.forwardSeeded(layer, batch, roots);
     for (const std::size_t threads : {2u, 8u}) {
         exec.setThreads(threads);
-        Rng rng(7);
-        EXPECT_EQ(exec.forward(layer, batch, rng), ref)
+        EXPECT_EQ(exec.forwardSeeded(layer, batch, roots), ref)
             << threads << " threads";
     }
 }
@@ -557,89 +556,91 @@ TEST(ThreadedExecutorTest, EmptyBatchIsANoOp)
     Rng setup(45);
     const MappedLayer layer = makeLayer(setup);
     const TileExecutor exec(4);
-    Rng rng(1);
-    const auto before = rng.raw()();
-    Rng rng2(1);
-    const std::vector<std::vector<int>> empty_batch;
-    EXPECT_TRUE(exec.forward(layer, empty_batch, rng2).empty());
-    // An empty batch must not consume any randomness.
-    EXPECT_EQ(rng2.raw()(), before);
+    aqfp::HardwareLedger ledger;
+    EXPECT_TRUE(exec.forwardSeeded(layer, {}, {}, &ledger).empty());
+    EXPECT_TRUE(
+        exec.forwardDecodedSeeded(layer, {}, {}, &ledger).empty());
+    // An empty batch must not record any hardware activity.
+    EXPECT_EQ(ledger.totals(), aqfp::LedgerCounts{});
 }
 
-// --- nn forwardBatch overloads ---
-
-TEST(NnForwardBatchTest, StackAndSplitRoundTrip)
+TEST(ThreadedExecutorTest, RootCountMustMatchBatchSize)
 {
-    Rng rng(51);
-    std::vector<Tensor> samples;
+    Rng setup(49);
+    const MappedLayer layer = makeLayer(setup);
+    const TileExecutor exec(8, false, 0.25, 1);
+    std::vector<std::vector<int>> batch;
     for (int b = 0; b < 3; ++b)
-        samples.push_back(Tensor::randn({1, 2, 4, 4}, rng));
-    const Tensor stacked = nn::stackSamples(samples);
-    ASSERT_EQ(stacked.shape(), (Shape{3, 2, 4, 4}));
-    const std::vector<Tensor> back = nn::splitBatch(stacked);
-    ASSERT_EQ(back.size(), 3u);
-    for (std::size_t b = 0; b < 3; ++b)
-        EXPECT_TRUE(back[b].equals(samples[b])) << "sample " << b;
-
-    EXPECT_THROW(nn::stackSamples({}), std::invalid_argument);
-    std::vector<Tensor> ragged = {Tensor({1, 4}), Tensor({1, 5})};
-    EXPECT_THROW(nn::stackSamples(ragged), std::invalid_argument);
-    std::vector<Tensor> unbatched = {Tensor({2, 4})};
-    EXPECT_THROW(nn::stackSamples(unbatched), std::invalid_argument);
+        batch.push_back(randomActs(24, setup));
+    for (const std::size_t n : {0u, 2u, 4u}) {
+        const std::vector<std::uint64_t> roots(n, 1);
+        EXPECT_THROW(exec.forwardSeeded(layer, batch, roots),
+                     std::invalid_argument)
+            << n << " roots";
+        EXPECT_THROW(exec.forwardDecodedSeeded(layer, batch, roots),
+                     std::invalid_argument)
+            << n << " roots";
+    }
 }
 
-TEST(NnForwardBatchTest, BinaryLinearBatchMatchesPerSample)
+TEST(ThreadedExecutorTest, MisSizedSampleThrowsBeforeAnyWork)
 {
-    Rng rng(52);
-    nn::BinaryLinear layer(6, 3, rng);
-    std::vector<Tensor> samples;
-    for (int b = 0; b < 4; ++b)
-        samples.push_back(Tensor::randn({1, 6}, rng));
-    const auto batched = layer.forwardBatch(samples, false);
-    ASSERT_EQ(batched.size(), samples.size());
-    for (std::size_t b = 0; b < samples.size(); ++b) {
-        const Tensor one = layer.forward(samples[b], false);
-        EXPECT_TRUE(batched[b].allClose(one, 1e-6f)) << "sample " << b;
+    // A sample shorter than the mapped fan-in would be read past its
+    // end by the tile slicing; a longer one would be silently
+    // truncated. Both must be refused, in Release builds too, before
+    // anything is observed or recorded.
+    Rng setup(50);
+    const MappedLayer layer = makeLayer(setup);
+    const TileExecutor exec(8, false, 0.25, 2);
+    for (const std::size_t length : {3u, 23u, 25u, 200u}) {
+        const std::vector<std::vector<int>> batch = {
+            randomActs(24, setup), randomActs(length, setup)};
+        const std::vector<std::uint64_t> roots = {1, 2};
+        aqfp::HardwareLedger ledger;
+        EXPECT_THROW(exec.forwardSeeded(layer, batch, roots, &ledger),
+                     std::invalid_argument)
+            << "length " << length;
+        EXPECT_THROW(
+            exec.forwardDecodedSeeded(layer, batch, roots, &ledger),
+            std::invalid_argument)
+            << "length " << length;
+        EXPECT_EQ(ledger.totals(), aqfp::LedgerCounts{});
     }
-    std::vector<Tensor> wrong = {Tensor({1, 5})};
-    EXPECT_THROW(layer.forwardBatch(wrong, false),
-                 std::invalid_argument);
 }
 
-TEST(NnForwardBatchTest, BinaryConvBatchMatchesPerSample)
+TEST(ThreadedExecutorTest, PermutedBatchPermutesOutputs)
 {
-    Rng rng(53);
-    nn::BinaryConv2d conv(2, 3, 3, 1, 1, rng);
-    std::vector<Tensor> samples;
-    for (int b = 0; b < 3; ++b)
-        samples.push_back(Tensor::randn({1, 2, 5, 5}, rng));
-    const auto batched = conv.forwardBatch(samples, false);
-    ASSERT_EQ(batched.size(), samples.size());
-    for (std::size_t b = 0; b < samples.size(); ++b) {
-        const Tensor one = conv.forward(samples[b], false);
-        EXPECT_TRUE(batched[b].allClose(one, 1e-6f)) << "sample " << b;
+    // Batch-makeup independence at the executor layer: reordering the
+    // samples together with their roots reorders the outputs and
+    // leaves the ledger totals unchanged.
+    Rng setup(51);
+    const MappedLayer layer = makeLayer(setup);
+    std::vector<std::vector<int>> batch;
+    for (int b = 0; b < 5; ++b)
+        batch.push_back(randomActs(24, setup));
+    Rng root_rng(52);
+    const auto roots = drawRoots(root_rng, batch.size());
+    const std::vector<std::size_t> perm = {3, 0, 4, 1, 2};
+    std::vector<std::vector<int>> permuted;
+    std::vector<std::uint64_t> permuted_roots;
+    for (const std::size_t p : perm) {
+        permuted.push_back(batch[p]);
+        permuted_roots.push_back(roots[p]);
     }
-    std::vector<Tensor> wrong = {Tensor({1, 3, 5, 5})};
-    EXPECT_THROW(conv.forwardBatch(wrong, false),
-                 std::invalid_argument);
-}
 
-TEST(NnForwardBatchTest, SequentialBatchMatchesPerSample)
-{
-    Rng rng(54);
-    nn::Sequential net;
-    net.emplace<nn::BinaryLinear>(8, 5, rng);
-    net.emplace<nn::BinaryLinear>(5, 2, rng);
-    std::vector<Tensor> samples;
-    for (int b = 0; b < 4; ++b)
-        samples.push_back(Tensor::randn({1, 8}, rng));
-    const auto batched = net.forwardBatch(samples, false);
-    ASSERT_EQ(batched.size(), samples.size());
-    for (std::size_t b = 0; b < samples.size(); ++b) {
-        const Tensor one = net.forward(samples[b], false);
-        EXPECT_TRUE(batched[b].allClose(one, 1e-6f)) << "sample " << b;
+    const TileExecutor exec(16, false, 0.25, 4);
+    aqfp::HardwareLedger led, permuted_led;
+    const auto out = exec.forwardSeeded(layer, batch, roots, &led);
+    const auto dec = exec.forwardDecodedSeeded(layer, batch, roots, &led);
+    const auto out_p = exec.forwardSeeded(layer, permuted,
+                                          permuted_roots, &permuted_led);
+    const auto dec_p = exec.forwardDecodedSeeded(
+        layer, permuted, permuted_roots, &permuted_led);
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+        EXPECT_EQ(out_p[i], out[perm[i]]) << "position " << i;
+        EXPECT_EQ(dec_p[i], dec[perm[i]]) << "position " << i;
     }
-    EXPECT_TRUE(net.forwardBatch({}, false).empty());
+    EXPECT_EQ(permuted_led.totals(), led.totals());
 }
 
 TEST(ThreadedExecutorTest, LedgerTotalsSurviveThreadReconfiguration)
@@ -655,25 +656,24 @@ TEST(ThreadedExecutorTest, LedgerTotalsSurviveThreadReconfiguration)
 
     TileExecutor exec(16, false, 0.25, 1);
     aqfp::LedgerCounts ref;
+    Rng root_rng(12);
+    const auto roots = drawRoots(root_rng, batch.size());
     {
         aqfp::HardwareLedger ledger;
-        Rng rng(12);
-        exec.forward(layer, batch, rng, &ledger);
+        exec.forwardSeeded(layer, batch, roots, &ledger);
         ref = ledger.totals();
         EXPECT_EQ(ref.samples, 5u);
     }
     exec.setThreads(3);
     {
         aqfp::HardwareLedger ledger;
-        Rng rng(12);
-        exec.forward(layer, batch, rng, &ledger);
+        exec.forwardSeeded(layer, batch, roots, &ledger);
         EXPECT_EQ(ledger.totals(), ref);
     }
     exec.setThreads(0); // shared pool
     {
         aqfp::HardwareLedger ledger;
-        Rng rng(12);
-        exec.forward(layer, batch, rng, &ledger);
+        exec.forwardSeeded(layer, batch, roots, &ledger);
         EXPECT_EQ(ledger.totals(), ref);
     }
 }
@@ -692,7 +692,8 @@ TEST(ThreadedExecutorTest, StochasticQualityUnchangedByThreading)
     std::vector<int> agree(20, 0);
     const int trials = 100;
     for (int t = 0; t < trials; ++t) {
-        const auto outs = exec.forward(layer, acts, rng);
+        const auto outs =
+            exec.forwardSeeded(layer, {acts}, {rng.raw()()})[0];
         for (std::size_t o = 0; o < 20; ++o)
             if ((sums[o] >= 0) == (outs[o] == 1))
                 ++agree[o];
