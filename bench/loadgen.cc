@@ -29,8 +29,8 @@
  * `superbnn-serving-digest-v1` artifact: only the deterministic
  * surface (a 64-bit FNV-1a over every response's predicted class and
  * full score vector, plus `mismatches`), with no wall-clock fields at
- * all — CI runs it under SUPERBNN_NUMA=off and =auto and diffs the
- * two outputs byte for byte.
+ * all — CI runs it at several SUPERBNN_THREADS and SUPERBNN_SIMD
+ * settings and diffs the outputs byte for byte.
  */
 
 #include <algorithm>
@@ -291,8 +291,8 @@ main(int argc, char **argv)
 
     if (digest) {
         // Deterministic surface only: identical bytes whatever the
-        // wall clock, thread schedule, SUPERBNN_NUMA / SUPERBNN_PIN
-        // setting, or batch composition did this run.
+        // wall clock, thread schedule, thread count, SIMD arm, or
+        // batch composition did this run.
         std::uint64_t h = 14695981039346656037ULL;
         for (std::size_t i = 0; i < requests; ++i) {
             const std::uint64_t pred = responses[i].first;

@@ -27,7 +27,7 @@
 #include "sc/bitstream.h"
 #include "simd/kernels.h"
 #include "tensor/tensor_ops.h"
-#include "util/sharded_executor_pool.h"
+#include "util/executor_pool.h"
 
 using namespace superbnn;
 using energy_ledger_util::drawRoots;
@@ -460,7 +460,7 @@ reportExecutorPoolReuse()
     const std::size_t executors = 64;
     const std::size_t pool_threads = 2;
     setenv("SUPERBNN_THREADS", "2", 1);
-    util::ShardedExecutorPool::reset();
+    util::ExecutorPool::reset();
 
     std::printf("\n==== executor construction: private pools vs shared "
                 "pool (%zu executors, %zu threads) ====\n",
@@ -487,73 +487,7 @@ reportExecutorPoolReuse()
                     rate / private_rate);
     }
     unsetenv("SUPERBNN_THREADS");
-    util::ShardedExecutorPool::reset();
-}
-
-/**
- * Self-timed sharded-vs-flat fan-out table: the same independent
- * (sample, forward) task list driven through explicit
- * ShardedExecutorPool instances — 1 shard (the flat baseline: exactly
- * ThreadPool::parallelFor), then 2 and 4 shards at the same total
- * thread budget, each with and without worker pinning. Environment
- * knobs are not consulted, so the table is reproducible on any host;
- * on single-socket machines the sharded rows mostly price the striped
- * driver's overhead, while NUMA hosts additionally show the locality
- * win.
- */
-void
-reportShardedFanOut()
-{
-    using clock = std::chrono::steady_clock;
-    const aqfp::AttenuationModel atten;
-    const crossbar::CrossbarMapper mapper(16, atten, 2.4);
-    Rng rng(21);
-    Tensor w({64, 128});
-    for (std::size_t i = 0; i < w.size(); ++i)
-        w[i] = rng.bernoulli(0.5) ? 1.0f : -1.0f;
-    crossbar::MappedLayer layer = mapper.map(w);
-    crossbar::CrossbarMapper::setThresholds(
-        layer, std::vector<double>(64, 0.0));
-    std::vector<int> acts(128);
-    for (auto &a : acts)
-        a = rng.bernoulli(0.5) ? 1 : -1;
-    const crossbar::TileExecutor exec(16, false, 0.25, 1);
-
-    const util::CpuTopology topo = util::CpuTopology::detect();
-    const std::size_t threads_total =
-        std::min<std::size_t>(4, std::max<std::size_t>(
-                                     2, topo.totalCpus()));
-    const std::size_t tasks = 512;
-
-    std::printf("\n==== sharded vs flat fan-out: %zu forward tasks, "
-                "%zu threads total (%zu node(s) detected) ====\n",
-                tasks, threads_total, topo.nodes.size());
-    std::printf("%8s %8s %5s %12s %9s\n", "shards", "threads", "pin",
-                "tasks/s", "speedup");
-    double flat_rate = 0.0;
-    for (const std::size_t shards : {1u, 2u, 4u}) {
-        for (const bool pin : {false, true}) {
-            util::ShardedExecutorPool pool(shards, threads_total, pin,
-                                           topo);
-            const auto t0 = clock::now();
-            pool.parallelForSharded(tasks, [&](std::size_t t) {
-                benchmark::DoNotOptimize(exec.forwardSeeded(
-                    layer, {acts}, {Rng(t).raw()()}));
-            });
-            const double secs =
-                std::chrono::duration<double>(clock::now() - t0)
-                    .count();
-            const double rate = static_cast<double>(tasks) / secs;
-            if (flat_rate == 0.0)
-                flat_rate = rate;
-            // threadCount() can exceed the requested budget: every
-            // shard gets at least one worker, so shards > threads
-            // oversubscribes (visibly, in this column).
-            std::printf("%8zu %8zu %5s %12.1f %8.2fx\n", shards,
-                        pool.threadCount(), pin ? "yes" : "no", rate,
-                        rate / flat_rate);
-        }
-    }
+    util::ExecutorPool::reset();
 }
 
 /**
@@ -797,13 +731,6 @@ main(int argc, char **argv)
     // should get neither the extra tables nor the self-timed sweeps.
     bool full_run = true;
     for (int i = 1; i < argc; ++i) {
-        // CI shortcut: print only the sharded-vs-flat fan-out table
-        // (no google-benchmark run), so the artifact job gets the
-        // table without paying for the whole self-timed sweep set.
-        if (std::strcmp(argv[i], "--superbnn-sharded-table") == 0) {
-            reportShardedFanOut();
-            return 0;
-        }
         if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0
             || std::strncmp(argv[i], "--benchmark_list_tests", 22) == 0
             || std::strncmp(argv[i], "--benchmark_format", 18) == 0
@@ -836,7 +763,6 @@ main(int argc, char **argv)
         reportBernoulliSpeedup();
         reportSimdArmSweep();
         reportExecutorPoolReuse();
-        reportShardedFanOut();
         reportThreadBatchSweep();
         reportSimdWorkloadSweep();
     }

@@ -24,9 +24,10 @@
  * shared counters are relaxed atomics (integer addition commutes, so
  * the totals do not depend on arrival order); the tile grid itself is
  * guarded by a shared_mutex so concurrent *forwards* on one ledger —
- * the sharded InferenceService runs one sub-batch per NUMA shard
- * against the same evaluator — are safe even when beginForward() has
- * to grow the grid while another shard is mid-record. Snapshots
+ * concurrent classScoresSeeded calls on one HardwareEvaluator, a
+ * documented contract of that class — are safe even when
+ * beginForward() has to grow the grid while another forward is
+ * mid-record. Snapshots
  * (totals()) taken while a forward is in flight see a consistent grid
  * but an arbitrary prefix of its counts; callers wanting exact deltas
  * must quiesce first (see InferenceService's snapshot window).

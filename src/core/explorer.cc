@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/sharded_executor_pool.h"
+#include "util/executor_pool.h"
 #include "util/thread_pool.h"
 
 namespace superbnn::core {
@@ -195,12 +195,11 @@ DesignSpaceExplorer::explore(const aqfp::WorkloadSpec &workload,
         for (std::size_t i = 0; i < feasible.size(); ++i)
             evaluate(i);
     } else if (options.threads == 0) {
-        // Default concurrency spreads candidates round-robin across
-        // the topology shards (one per NUMA node; a single-node host
-        // degenerates to the historical flat pool). Slot-per-task
-        // writes make the spread unobservable in the results.
-        util::ShardedExecutorPool::shared()->parallelForSharded(
-            feasible.size(), evaluate);
+        // Default concurrency runs candidates on the process-wide
+        // pool. Slot-per-task writes make the schedule unobservable
+        // in the results.
+        util::ExecutorPool::shared()->parallelFor(feasible.size(),
+                                                  evaluate);
     } else {
         const auto pool =
             std::make_shared<util::ThreadPool>(options.threads);

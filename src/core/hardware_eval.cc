@@ -90,31 +90,6 @@ HardwareEvaluator::resolvePlan(std::size_t cell_count)
         }
         execIndex_[i] = slot;
     }
-    applyExecutorPool();
-}
-
-void
-HardwareEvaluator::applyExecutorPool()
-{
-    for (crossbar::TileExecutor &exec : executors_) {
-        if (shardPool_ && plan_.threads != 1) {
-            // Node-local execution: replace pooled dispatch with the
-            // shard's pool. threads==1 plans stay sequential — the
-            // shard handle never introduces parallelism the plan
-            // didn't ask for.
-            exec.attachPool(shardPool_);
-        } else if (!shardPool_) {
-            exec.setThreads(plan_.threads);
-        }
-    }
-}
-
-void
-HardwareEvaluator::setExecutorPool(
-    std::shared_ptr<util::ThreadPool> shard_pool)
-{
-    shardPool_ = std::move(shard_pool);
-    applyExecutorPool();
 }
 
 void

@@ -73,14 +73,14 @@ struct LayerEnergyReport
  *
  * Noise: every sample is scored with its own seed, and the sampled
  * stochastic-computing noise depends only on (sample, seed) — never on
- * batch makeup, thread count, shard or SIMD arm. evaluate() draws those
+ * batch makeup, thread count or SIMD arm. evaluate() draws those
  * seeds from its Rng in sample order.
  *
  * Concurrency: the per-layer ledgers are safe to record into from
  * concurrent forwards (relaxed-atomic slots — see aqfp::HardwareLedger),
  * so concurrent classScoresSeeded calls on the SAME evaluator are
- * supported and their *totals* stay exact; that is how the sharded
- * InferenceService runs one sub-batch per NUMA shard. What stays
+ * supported: each call's scores are those of a lone call, and the
+ * ledger *totals* stay exact (the sum of the calls). What stays
  * single-writer is the ledger *snapshot window*: a before/after
  * totalLedgerCounts() delta (the service's per-request attribution,
  * energyReports' per-image normalization) is only meaningful when no
@@ -138,7 +138,7 @@ class HardwareEvaluator
      * layer's determinism guarantee, see docs/SERVING.md): a sample's
      * scores depend only on (sample, seed) — entry i is bit-identical
      * to `classScoresSeeded({samples[i]}, {seeds[i]})[0]` for ANY
-     * batch composition, batch size, thread count, shard and SIMD arm,
+     * batch composition, batch size, thread count and SIMD arm,
      * so coalescing requests into executor megabatches never changes
      * any response.
      *
@@ -248,18 +248,6 @@ class HardwareEvaluator
     const HardwarePlan &plan() const { return plan_; }
 
     /**
-     * Pin every executor of this evaluator to an explicit shard pool
-     * (one NUMA node's ThreadPool from util::ShardedExecutorPool), so
-     * its tile loops and buffers stay node-local. Applies to the
-     * current executors and to any rebuilt by a later mapMlp/mapCnn;
-     * null reverts to the plan's own threads setting. Scores are
-     * bit-identical regardless — sharding only moves work, never
-     * changes it. Note plan threads==1 cells stay sequential; the
-     * shard handle replaces only pooled execution.
-     */
-    void setExecutorPool(std::shared_ptr<util::ThreadPool> shard_pool);
-
-    /**
      * The plan resolved against the mapped model: one entry per mapped
      * cell (hidden layers in order, head last). Empty before
      * mapMlp/mapCnn.
@@ -292,9 +280,6 @@ class HardwareEvaluator
     /// plan builds exactly one); execIndex_[i] is cell i's executor.
     std::vector<crossbar::TileExecutor> executors_;
     std::vector<std::size_t> execIndex_;
-    /// Explicit shard handle from setExecutorPool (null = none);
-    /// re-applied whenever resolvePlan rebuilds the executors.
-    std::shared_ptr<util::ThreadPool> shardPool_;
     Kind kind = Kind::None;
     std::vector<MappedCell> mapped;
     crossbar::MappedLayer headMapped;
@@ -308,8 +293,6 @@ class HardwareEvaluator
 
     /** Allocate one fresh ledger per mapped layer + head. */
     void initLedgers();
-    /** (Re)apply shardPool_ — or the plan's threads — to executors_. */
-    void applyExecutorPool();
     /**
      * Resolve plan_ against @p cell_count cells and (re)build the
      * per-distinct-window executors + cell->executor index.

@@ -98,9 +98,9 @@ struct HardwarePlan
     bool exactApc = false;      ///< shared: exact parallel counter
     double dropFraction = 0.25; ///< shared: APC approximation level
     /// Shared executor concurrency: 0 (default) shares the process-wide
-    /// pool, shard 0 of util::ShardedExecutorPool (sized from
-    /// SUPERBNN_THREADS / hardware threads when that pool is first
-    /// created), 1 = sequential, N > 1 = a private N-thread pool.
+    /// util::ExecutorPool (sized from SUPERBNN_THREADS / hardware
+    /// threads when that pool is first created), 1 = sequential,
+    /// N > 1 = a private N-thread pool.
     std::size_t threads = 0;
     /// Shared samples per batched executor pass in evaluate().
     std::size_t evalBatch = 8;

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "util/sharded_executor_pool.h"
+#include "util/executor_pool.h"
 
 namespace superbnn::core {
 
@@ -247,13 +247,10 @@ ScenarioSweep::run(const ScenarioGrid &grid,
         for (std::size_t i = 0; i < total; ++i)
             evaluate(i);
     } else if (options.threads == 0) {
-        // Default concurrency stripes the (corner, chip) tasks
-        // round-robin across the topology shards, so a multi-node
-        // host evaluates chips on every socket with node-local
-        // workers. Per-chip results are pure functions of the seeds,
-        // so the striping never shows up in the reduction.
-        util::ShardedExecutorPool::shared()->parallelForSharded(
-            total, evaluate);
+        // Default concurrency runs the (corner, chip) tasks on the
+        // process-wide pool. Per-chip results are pure functions of
+        // the seeds, so the schedule never shows up in the reduction.
+        util::ExecutorPool::shared()->parallelFor(total, evaluate);
     } else {
         const auto pool =
             std::make_shared<util::ThreadPool>(options.threads);

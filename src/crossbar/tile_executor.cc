@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/sharded_executor_pool.h"
+#include "util/executor_pool.h"
 
 namespace superbnn::crossbar {
 
@@ -56,18 +56,16 @@ TileExecutor::threads() const
 void
 TileExecutor::setThreads(std::size_t threads)
 {
-    sharedPool = false;
     if (threads == 1) {
         pool.reset();
         return;
     }
     if (threads == 0) {
-        // Attach to shard 0 of the process-wide pool. Its size was
-        // resolved (from SUPERBNN_THREADS) when the pool was first
-        // created — see util::ShardedExecutorPool::shared() for the
-        // resolution-point contract.
-        pool = util::ShardedExecutorPool::shared()->shard(0);
-        sharedPool = true;
+        // Attach to the process-wide pool. Its size was resolved
+        // (from SUPERBNN_THREADS) when the pool was first created —
+        // see util::ExecutorPool::shared() for the resolution-point
+        // contract.
+        pool = util::ExecutorPool::shared();
         return;
     }
     // An explicit count is a request for a private pool of that size
@@ -76,28 +74,9 @@ TileExecutor::setThreads(std::size_t threads)
 }
 
 void
-TileExecutor::attachPool(std::shared_ptr<util::ThreadPool> shard_pool)
-{
-    sharedPool = false;
-    pool = std::move(shard_pool);
-}
-
-void
 TileExecutor::runParallel(
     std::size_t n, const std::function<void(std::size_t)> &task) const
 {
-    // A shared-pool executor called from a shard-bound thread (an
-    // InferenceService sub-batch, a parallelForSharded task) runs on
-    // that shard's pool so nested loops stay node-local. Results are
-    // identical either way — only locality changes.
-    if (sharedPool) {
-        const std::shared_ptr<util::ThreadPool> &bound =
-            util::ShardBinding::currentPool();
-        if (bound) {
-            bound->parallelFor(n, task);
-            return;
-        }
-    }
     if (pool) {
         pool->parallelFor(n, task);
     } else {

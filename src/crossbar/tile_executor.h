@@ -11,9 +11,9 @@
  * Execution is threaded and batched. The (rowTile, colTile) tile
  * observations of a forward pass are independent, so they run as
  * parallel tasks on a util::ThreadPool — by default the process-wide
- * shared pool, shard 0 of util::ShardedExecutorPool, so any number of
- * executors reuse one set of worker threads — each writing its streams
- * into its own slot of a preallocated scratch table; the pool's
+ * util::ExecutorPool, so any number of executors reuse one set of
+ * worker threads — each writing its streams into its own slot of a
+ * preallocated scratch table; the pool's
  * barrier then separates observation from the (also parallel)
  * per-column-group accumulation merge. Every (sample, tile) task draws
  * from its own counter-based RNG stream (sc::detail::CounterStream)
@@ -60,10 +60,10 @@ class TileExecutor
      * @param use_exact_apc  ablation: exact instead of approximate APC
      * @param drop_fraction  APC approximation aggressiveness
      * @param threads        executor concurrency: 0 (default) shares
-     *                       the process-wide pool, shard 0 of
-     *                       util::ShardedExecutorPool (sized from
-     *                       SUPERBNN_THREADS / hardware concurrency
-     *                       when that pool is first created);
+     *                       the process-wide util::ExecutorPool
+     *                       (sized from SUPERBNN_THREADS / hardware
+     *                       concurrency when that pool is first
+     *                       created);
      *                       1 = sequential; N > 1 = a private pool of
      *                       N threads
      */
@@ -141,39 +141,25 @@ class TileExecutor
 
     /**
      * Reconfigure concurrency: 1 drops the pool (pure sequential
-     * path); 0 attaches to shard 0 of the process-wide
-     * util::ShardedExecutorPool — acquiring whatever pool exists *at
-     * this call*, so a SUPERBNN_THREADS change after the shared pool
-     * was first created is ignored until ShardedExecutorPool::reset()
+     * path); 0 attaches to the process-wide util::ExecutorPool —
+     * acquiring whatever pool exists *at this call*, so a
+     * SUPERBNN_THREADS change after the shared pool was first
+     * created is ignored until ExecutorPool::reset()
      * (the documented resolution point); N > 1 allocates a private
      * N-thread pool. Outputs are bit-identical across all settings.
      */
     void setThreads(std::size_t threads);
 
-    /**
-     * Attach this executor to an explicit pool handle — the sharded
-     * executor layer passes one NUMA shard's pool so this executor's
-     * tile loops (and the tile buffers they touch) stay node-local.
-     * Unlike setThreads(0), an explicitly attached pool is *not*
-     * rerouted by util::ShardBinding; null detaches (sequential).
-     * Outputs are bit-identical regardless of the attached pool.
-     */
-    void attachPool(std::shared_ptr<util::ThreadPool> shard_pool);
-
   private:
     std::size_t window_;
     bool useExact;
     double dropFraction;
-    /// The executor's pool — by default shard 0 of the process-wide
-    /// ShardedExecutorPool; null = sequential. Sharing is safe: a parallelFor
-    /// issued while another executor's loop is in flight runs inline
-    /// rather than racing or blocking (see ThreadPool::parallelFor).
+    /// The executor's pool — by default the process-wide
+    /// util::ExecutorPool; null = sequential. Sharing is safe: a
+    /// parallelFor issued while another executor's loop is in flight
+    /// runs inline rather than racing or blocking (see
+    /// ThreadPool::parallelFor).
     std::shared_ptr<util::ThreadPool> pool;
-    /// True when `pool` came from setThreads(0) (the shared pool). A
-    /// live util::ShardBinding on the calling thread then reroutes
-    /// runParallel to the bound shard, keeping nested work node-local;
-    /// private pools (setThreads(N), attachPool) are never rerouted.
-    bool sharedPool = false;
 
     /** parallelFor through the pool, or a plain loop without one. */
     void runParallel(std::size_t n,

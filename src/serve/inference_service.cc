@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <exception>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -107,8 +106,7 @@ ServiceConfig::fromEnv()
 
 InferenceService::InferenceService(
     const core::HardwareEvaluator &evaluator, ServiceConfig config)
-    : evaluator(evaluator), cfg(config),
-      shards_(util::ShardedExecutorPool::shared())
+    : evaluator(evaluator), cfg(config)
 {
     dispatcher = std::thread([this] { dispatchLoop(); });
 }
@@ -248,7 +246,7 @@ InferenceService::serveBatch(std::vector<Pending> &batch)
     const aqfp::LedgerCounts before = evaluator.totalLedgerCounts();
     std::vector<std::vector<double>> scores;
     try {
-        scores = shardedScores(samples, seeds);
+        scores = evaluator.classScoresSeeded(samples, seeds);
     } catch (...) {
         // A failed megabatch fails every rider; futures are never
         // abandoned.
@@ -292,66 +290,6 @@ InferenceService::serveBatch(std::vector<Pending> &batch)
         r.batchSize = batch.size();
         batch[i].promise.set_value(std::move(r));
     }
-}
-
-std::vector<std::vector<double>>
-InferenceService::shardedScores(
-    std::vector<Tensor> &samples,
-    const std::vector<std::uint64_t> &seeds) const
-{
-    const std::size_t shard_count = shards_->shardCount();
-    const std::size_t k = std::min(shard_count, samples.size());
-    if (k <= 1)
-        return evaluator.classScoresSeeded(samples, seeds);
-
-    // Contiguous even split: sub-batch j takes [starts[j], starts[j+1]).
-    // Each runs on its own shard-bound thread, so the evaluator's
-    // shared-pool executors route every nested tile loop to shard j's
-    // node-local pool. Bit-exactness is free: each score is a pure
-    // function of (model, sample, seed), so the partition is
-    // unobservable in the responses.
-    std::vector<std::size_t> starts(k + 1, 0);
-    for (std::size_t j = 0; j < k; ++j) {
-        std::size_t count = samples.size() / k;
-        if (j < samples.size() % k)
-            ++count;
-        starts[j + 1] = starts[j] + count;
-    }
-
-    std::vector<std::vector<std::vector<double>>> sub(k);
-    std::vector<std::exception_ptr> errors(k);
-    auto runRange = [&](std::size_t j) {
-        try {
-            const util::ShardBinding bind(j, shards_->shard(j));
-            std::vector<Tensor> part(
-                std::make_move_iterator(samples.begin() + starts[j]),
-                std::make_move_iterator(samples.begin()
-                                        + starts[j + 1]));
-            const std::vector<std::uint64_t> part_seeds(
-                seeds.begin() + starts[j],
-                seeds.begin() + starts[j + 1]);
-            sub[j] = evaluator.classScoresSeeded(part, part_seeds);
-        } catch (...) {
-            errors[j] = std::current_exception();
-        }
-    };
-    std::vector<std::thread> drivers;
-    drivers.reserve(k - 1);
-    for (std::size_t j = 1; j < k; ++j)
-        drivers.emplace_back(runRange, j);
-    runRange(0);
-    for (std::thread &t : drivers)
-        t.join();
-    for (const std::exception_ptr &err : errors)
-        if (err)
-            std::rethrow_exception(err);
-
-    std::vector<std::vector<double>> scores;
-    scores.reserve(samples.size());
-    for (std::size_t j = 0; j < k; ++j)
-        for (std::vector<double> &s : sub[j])
-            scores.push_back(std::move(s));
-    return scores;
 }
 
 void

@@ -34,7 +34,6 @@
 
 #include "aqfp/ledger.h"
 #include "core/hardware_eval.h"
-#include "util/sharded_executor_pool.h"
 
 namespace superbnn::serve {
 
@@ -141,13 +140,9 @@ struct ServiceStats
  * client threads. The service is its evaluator's sole user: only the
  * dispatcher drives evaluation, which keeps the before/after ledger
  * snapshot window single-writer (the attribution contract — see
- * detail::countsShare). Within one megabatch the dispatcher may fan
- * out: on hosts where util::ShardedExecutorPool resolves more than
- * one shard (SUPERBNN_NUMA), the batch splits into per-shard
- * sub-batches evaluated concurrently, each pinned to its node's pool.
- * That is safe — the evaluator's ledgers accept concurrent forwards —
- * and invisible in the responses, which stay bit-identical across
- * every SUPERBNN_NUMA / SUPERBNN_PIN / thread-count setting.
+ * detail::countsShare). Responses stay bit-identical across thread
+ * counts, SIMD arms and batch makeup: each score is a pure function of
+ * (model, sample, seed).
  *
  * Shutdown: stop() (also run by the destructor) drains — requests
  * already admitted are still served and their futures fulfilled; only
@@ -226,25 +221,11 @@ class InferenceService
     void dispatchLoop();
     /** Evaluate one megabatch and fulfill its promises. */
     void serveBatch(std::vector<Pending> &batch);
-    /**
-     * classScoresSeeded across the sharded executor pool: with k > 1
-     * shards the megabatch splits into up to k contiguous sub-batches,
-     * one shard-bound thread each, so every shard's tile loops stay on
-     * its own NUMA node. Responses are bit-identical to the unsharded
-     * call — classScoresSeeded makes each entry a pure function of
-     * (model, sample, seed), so partitioning cannot change answers.
-     */
-    std::vector<std::vector<double>>
-    shardedScores(std::vector<Tensor> &samples,
-                  const std::vector<std::uint64_t> &seeds) const;
     /** Lazily price one image's energy/latency from the ledgers. */
     void refreshUnitCost();
 
     const core::HardwareEvaluator &evaluator;
     const ServiceConfig cfg;
-    /// The process-wide sharded pool, acquired at construction (the
-    /// SUPERBNN_NUMA / SUPERBNN_PIN resolution point for this service).
-    const std::shared_ptr<util::ShardedExecutorPool> shards_;
 
     mutable std::mutex mutex_;
     std::condition_variable wake;

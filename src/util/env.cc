@@ -9,6 +9,13 @@
 
 namespace superbnn::util {
 
+namespace {
+
+/**
+ * Emit the shared "ignoring invalid NAME value 'VALUE' (want WANT);
+ * using USED" notice, at most once per distinct (name, value) pair per
+ * process.
+ */
 void
 envWarnOnce(const char *name, const char *value, const char *want,
             const char *used)
@@ -27,38 +34,27 @@ envWarnOnce(const char *name, const char *value, const char *want,
     }
 }
 
+} // namespace
+
 std::size_t
 envSize(const char *name, std::size_t fallback, std::size_t min_value)
 {
     const char *env = std::getenv(name);
     if (env == nullptr)
         return fallback;
+    // strtoull skips leading whitespace and accepts a sign (wrapping a
+    // negative value to a huge one), so require a leading digit.
+    const bool digit_first = *env >= '0' && *env <= '9';
     char *end = nullptr;
     errno = 0;
     const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && errno == 0 && *env != '-'
-        && v >= min_value)
+    if (digit_first && *end == '\0' && errno == 0 && v >= min_value)
         return static_cast<std::size_t>(v);
     char want[64];
     char used[32];
     std::snprintf(want, sizeof want, "an integer >= %zu", min_value);
     std::snprintf(used, sizeof used, "%zu", fallback);
     envWarnOnce(name, env, want, used);
-    return fallback;
-}
-
-bool
-envFlag(const char *name, bool fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr)
-        return fallback;
-    const std::string v(env);
-    if (v == "1")
-        return true;
-    if (v == "0")
-        return false;
-    envWarnOnce(name, env, "0 or 1", fallback ? "1" : "0");
     return fallback;
 }
 

@@ -23,30 +23,14 @@ namespace superbnn::util {
  * The environment variable @p name parsed as a base-10 integer in
  * [@p min_value, SIZE_MAX], or @p fallback when the variable is unset
  * or invalid (with the warn-once stderr notice described in the file
- * header). @p min_value distinguishes knobs where 0 is meaningful
- * (e.g. a zero-linger scheduler) from knobs where it is not (a pool
- * of 0 threads).
+ * header). The value must start with a digit: leading whitespace or a
+ * sign (including a negative number, which strtoull would wrap to a
+ * huge count) makes it invalid. @p min_value distinguishes knobs where
+ * 0 is meaningful (e.g. a zero-linger scheduler) from knobs where it
+ * is not (a pool of 0 threads).
  */
 std::size_t envSize(const char *name, std::size_t fallback,
                     std::size_t min_value = 0);
-
-/**
- * The environment variable @p name parsed as a boolean flag: "1" is
- * true, "0" is false, unset falls back to @p fallback, and any other
- * value is ignored with the warn-once stderr notice. Used by the
- * SUPERBNN_PIN worker-affinity knob.
- */
-bool envFlag(const char *name, bool fallback);
-
-/**
- * Emit the shared "ignoring invalid NAME value 'VALUE' (want WANT);
- * using USED" notice, at most once per distinct (name, value) pair per
- * process. Exposed so non-integer knobs (SUPERBNN_NUMA's
- * auto|off|<n> grammar) report malformed values with the exact same
- * contract as envSize().
- */
-void envWarnOnce(const char *name, const char *value, const char *want,
-                 const char *used);
 
 } // namespace superbnn::util
 

@@ -2,46 +2,11 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "util/env.h"
 
 namespace superbnn::util {
 
 namespace {
-
-/**
- * Pin @p handle to the CPUs in @p cpus. Best-effort: out-of-range ids
- * and setaffinity failures are ignored (affinity is a hint — a pool on
- * a cpuset-restricted host must still work, just unpinned). No-op off
- * Linux and for an empty list.
- */
-void
-pinThread(std::thread &worker, const std::vector<int> &cpus)
-{
-#if defined(__linux__)
-    if (cpus.empty())
-        return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    bool any = false;
-    for (const int cpu : cpus) {
-        if (cpu >= 0 && cpu < CPU_SETSIZE) {
-            CPU_SET(cpu, &set);
-            any = true;
-        }
-    }
-    if (any)
-        (void)pthread_setaffinity_np(worker.native_handle(),
-                                     sizeof(set), &set);
-#else
-    (void)worker;
-    (void)cpus;
-#endif
-}
 
 /**
  * Stack of pools the current thread is executing a body of. The guard
@@ -104,21 +69,13 @@ ThreadPool::defaultThreadCount()
 }
 
 ThreadPool::ThreadPool(std::size_t threads)
-    : ThreadPool(threads, std::vector<int>())
-{
-}
-
-ThreadPool::ThreadPool(std::size_t threads,
-                       const std::vector<int> &pin_cpus)
 {
     const std::size_t total =
         threads == 0 ? defaultThreadCount() : threads;
     if (total > 1) {
         workers.reserve(total - 1);
-        for (std::size_t i = 0; i + 1 < total; ++i) {
+        for (std::size_t i = 0; i + 1 < total; ++i)
             workers.emplace_back([this] { workerLoop(); });
-            pinThread(workers.back(), pin_cpus);
-        }
     }
 }
 

@@ -47,19 +47,6 @@ class ThreadPool
      */
     explicit ThreadPool(std::size_t threads = 0);
 
-    /**
-     * As above, but every *worker* thread is additionally pinned to
-     * the CPU set @p pin_cpus (the sharded pool passes one NUMA node's
-     * CPU list, so workers schedule node-local without forbidding
-     * migration inside the node). The calling thread is never pinned —
-     * the caller participates in loops but its affinity belongs to the
-     * embedder. Pinning is Linux-only (pthread_setaffinity_np); on
-     * other platforms, and for an empty @p pin_cpus, this is exactly
-     * the plain constructor. A failed setaffinity call is ignored:
-     * affinity is a performance hint, never a correctness requirement.
-     */
-    ThreadPool(std::size_t threads, const std::vector<int> &pin_cpus);
-
     /** Joins all workers (any in-flight parallelFor must have returned). */
     ~ThreadPool();
 

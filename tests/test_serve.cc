@@ -201,6 +201,43 @@ TEST(ClassScoresSeeded, IdenticalAcrossThreadCounts)
               pooled->classScoresSeeded(plan.samples, plan.seeds));
 }
 
+TEST(ClassScoresSeeded, ConcurrentCallsOnOneEvaluatorKeepExactTotals)
+{
+    // Concurrent classScoresSeeded calls on ONE evaluator are a
+    // documented contract: every call scores as if it ran alone, and
+    // the shared per-layer ledgers (relaxed-atomic slots behind a
+    // shared_mutex grid) sum every call exactly. A fresh evaluator
+    // makes the first forwards race on growing the ledger grids too.
+    const Plan plan = makePlan(6);
+    constexpr std::size_t kThreads = 3;
+    constexpr std::size_t kRounds = 4;
+
+    const auto seq = makeMlpEvaluator(1);
+    const std::vector<std::vector<double>> ref =
+        seq->classScoresSeeded(plan.samples, plan.seeds);
+    for (std::size_t call = 1; call < kThreads * kRounds; ++call)
+        ASSERT_EQ(seq->classScoresSeeded(plan.samples, plan.seeds), ref);
+
+    const auto shared = makeMlpEvaluator(2);
+    std::vector<std::vector<std::vector<std::vector<double>>>> got(
+        kThreads);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        callers.emplace_back([&, t] {
+            for (std::size_t r = 0; r < kRounds; ++r)
+                got[t].push_back(shared->classScoresSeeded(plan.samples,
+                                                           plan.seeds));
+        });
+    for (std::thread &c : callers)
+        c.join();
+
+    for (std::size_t t = 0; t < kThreads; ++t)
+        for (std::size_t r = 0; r < kRounds; ++r)
+            EXPECT_EQ(got[t][r], ref) << "thread " << t << " round " << r;
+    EXPECT_EQ(shared->totalLedgerCounts(), seq->totalLedgerCounts());
+    EXPECT_EQ(shared->imagesObserved(), seq->imagesObserved());
+}
+
 TEST(ClassScoresSeeded, BatchedEqualsSinglesForCnn)
 {
     const RandomizedCnn cnn = makeTinyCnn(77);

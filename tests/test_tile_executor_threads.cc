@@ -29,7 +29,7 @@
 #include "energy_ledger_util.h"
 #include "sc/accumulation.h"
 #include "sc/bitstream_batch.h"
-#include "util/sharded_executor_pool.h"
+#include "util/executor_pool.h"
 #include "util/thread_pool.h"
 
 using namespace superbnn;
@@ -207,19 +207,17 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv)
 // --- process-wide executor pool ---
 
 /**
- * Pins SUPERBNN_NUMA=off so the shared pool is one shard whatever the
- * host topology or caller environment, saving and restoring it and
- * SUPERBNN_THREADS around each test.
+ * Saves and restores SUPERBNN_THREADS around each test and drops the
+ * shared pool, so each test starts (and the suite ends) at the
+ * caller's setting.
  */
 class ExecutorPoolTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        save("SUPERBNN_NUMA");
         save("SUPERBNN_THREADS");
-        setenv("SUPERBNN_NUMA", "off", 1);
-        util::ShardedExecutorPool::reset();
+        util::ExecutorPool::reset();
     }
 
     void TearDown() override
@@ -230,7 +228,7 @@ class ExecutorPoolTest : public ::testing::Test
             else
                 unsetenv(kv.first.c_str());
         }
-        util::ShardedExecutorPool::reset();
+        util::ExecutorPool::reset();
     }
 
   private:
@@ -246,16 +244,16 @@ class ExecutorPoolTest : public ::testing::Test
 TEST_F(ExecutorPoolTest, SharedPoolIsProcessWideAndPinnedAtFirstUse)
 {
     setenv("SUPERBNN_THREADS", "3", 1);
-    util::ShardedExecutorPool::reset();
-    const auto a = util::ShardedExecutorPool::shared()->shard(0);
-    const auto b = util::ShardedExecutorPool::shared()->shard(0);
+    util::ExecutorPool::reset();
+    const auto a = util::ExecutorPool::shared();
+    const auto b = util::ExecutorPool::shared();
     EXPECT_EQ(a.get(), b.get()); // one pool for the whole process
     EXPECT_EQ(a->threadCount(), 3u);
 
     // Resolution point: SUPERBNN_THREADS was read when the pool was
     // first created; changing it afterwards is ignored...
     setenv("SUPERBNN_THREADS", "5", 1);
-    EXPECT_EQ(util::ShardedExecutorPool::shared()->shard(0)->threadCount(),
+    EXPECT_EQ(util::ExecutorPool::shared()->threadCount(),
               3u);
     // ...including by executors attaching later with threads == 0.
     TileExecutor exec(8);
@@ -264,8 +262,8 @@ TEST_F(ExecutorPoolTest, SharedPoolIsProcessWideAndPinnedAtFirstUse)
     // reset() drops the pool; the next shared() re-reads the
     // environment. Executors holding the old pool keep it until they
     // are reconfigured.
-    util::ShardedExecutorPool::reset();
-    EXPECT_EQ(util::ShardedExecutorPool::shared()->shard(0)->threadCount(),
+    util::ExecutorPool::reset();
+    EXPECT_EQ(util::ExecutorPool::shared()->threadCount(),
               5u);
     EXPECT_EQ(exec.threads(), 3u);
     exec.setThreads(0);
@@ -275,7 +273,7 @@ TEST_F(ExecutorPoolTest, SharedPoolIsProcessWideAndPinnedAtFirstUse)
 TEST_F(ExecutorPoolTest, ExplicitThreadCountsBypassTheSharedPool)
 {
     setenv("SUPERBNN_THREADS", "3", 1);
-    util::ShardedExecutorPool::reset();
+    util::ExecutorPool::reset();
     TileExecutor exec(8, false, 0.25, 4);
     EXPECT_EQ(exec.threads(), 4u); // private pool, env ignored
     exec.setThreads(1);
@@ -288,7 +286,7 @@ TEST_F(ExecutorPoolTest, SharedPoolRunsExecutorsCorrectly)
     // reference bit for bit (the thread-count invariance contract,
     // exercised specifically on the default shared-pool path).
     setenv("SUPERBNN_THREADS", "4", 1);
-    util::ShardedExecutorPool::reset();
+    util::ExecutorPool::reset();
     Rng setup(47);
     const MappedLayer layer = makeLayer(setup);
     const std::vector<int> acts = randomActs(24, setup);
